@@ -21,6 +21,9 @@
 //! * [`optimizer`] — the §4.5 optimisation: minimise memory `b·k` subject to
 //!   the sampling and tree constraints; plus the known-`N` baseline (Table 1,
 //!   Figure 4) and the multi-quantile variants (Table 2).
+//! * [`table`] — the committed replay table: [`simulate`]'s scalars for
+//!   every `(b, h)` the optimizer searches, generated once and re-certified
+//!   by a test, so parameter choice pays no replay.
 //! * [`schedule`] — §5 dynamic buffer-allocation schedules: validation and
 //!   search under user-specified memory ceilings (Figure 5).
 
@@ -33,6 +36,7 @@ pub mod kl;
 pub mod optimizer;
 pub mod schedule;
 pub mod simulate;
+pub mod table;
 
 pub use bounds::{hoeffding_tail, required_x};
 pub use kl::{kl_divergence_bits, stein_failure_bound, stein_sample_size};

@@ -14,13 +14,19 @@
 //!
 //! The optimizer minimises `b·k` over the `(b, h)` grid and the optimal `α`
 //! (the max of a decreasing and an increasing function of `α`, minimised at
-//! their crossing).
+//! their crossing). The replay depends on `(b, h)` only, so the unknown-`N`
+//! optimizer reads its scalars from the committed [`crate::table`] and
+//! replays nothing.
 
 use crate::bounds::required_x;
 use crate::combinatorics::binomial;
-use crate::simulate::{simulate_schedule, simulate_schedule_cached, ScheduleScalars, SimOptions};
+use crate::simulate::ScheduleScalars;
+use crate::table;
 
-/// Search-space options for the optimizer.
+/// Search-space options for the optimizer. Every field must stay within the
+/// committed schedule table: `max_b ≤ 30`, `max_h ≤ 10`,
+/// `leaf_cap ≤ 50_000` ([`table::MAX_B`], [`table::MAX_H`],
+/// [`table::LEAF_CAP`]).
 #[derive(Clone, Copy, Debug)]
 pub struct OptimizerOptions {
     /// Largest number of buffers considered (paper: 50; default 30 — the
@@ -28,32 +34,29 @@ pub struct OptimizerOptions {
     pub max_b: usize,
     /// Largest sampling-onset level considered.
     pub max_h: u32,
-    /// Replay abort threshold: combinations whose pre-onset phase exceeds
-    /// this many leaves are skipped.
+    /// Combinations whose pre-onset phase may exceed this many leaves
+    /// (`C(b+h−1, h) > leaf_cap`) are skipped.
     pub leaf_cap: u64,
-    /// Use the global `(b, h)` replay cache.
-    pub use_cache: bool,
 }
 
 impl Default for OptimizerOptions {
     fn default() -> Self {
         Self {
-            max_b: 30,
-            max_h: 10,
-            leaf_cap: 50_000,
-            use_cache: true,
+            max_b: table::MAX_B,
+            max_h: table::MAX_H,
+            leaf_cap: table::LEAF_CAP,
         }
     }
 }
 
 impl OptimizerOptions {
-    /// A reduced grid for fast unit tests and debug builds.
+    /// A reduced grid, for tests that pin configurations of the smaller
+    /// search space.
     pub fn fast() -> Self {
         Self {
             max_b: 12,
             max_h: 6,
             leaf_cap: 20_000,
-            use_cache: true,
         }
     }
 }
@@ -75,18 +78,6 @@ pub struct UnknownNConfig {
     pub delta: f64,
     /// Total memory in elements (`b·k`).
     pub memory: usize,
-}
-
-fn scalars_for(b: usize, h: u32, opts: &OptimizerOptions) -> Option<ScheduleScalars> {
-    let sim_opts = SimOptions {
-        leaf_cap: opts.leaf_cap,
-        ..SimOptions::default()
-    };
-    if opts.use_cache {
-        simulate_schedule_cached(b, h, sim_opts)
-    } else {
-        simulate_schedule(b, h, sim_opts)
-    }
 }
 
 /// Smallest `k` satisfying all three constraints for the given scalars and
@@ -141,6 +132,8 @@ fn best_alpha(s: &ScheduleScalars, epsilon: f64, delta: f64) -> (f64, f64) {
 /// # Panics
 /// Panics if `ε ∉ (0, 1)`, `δ ∉ (0, 1)`, or no feasible configuration
 /// exists in the search space (does not happen for practical parameters).
+/// [`optimize_unknown_n_with`] also panics on options outside the committed
+/// schedule table: `max_b > 30`, `max_h > 10` or `leaf_cap > 50_000`.
 pub fn optimize_unknown_n(epsilon: f64, delta: f64) -> UnknownNConfig {
     optimize_unknown_n_with(epsilon, delta, OptimizerOptions::default())
 }
@@ -152,15 +145,22 @@ pub fn optimize_unknown_n(epsilon: f64, delta: f64) -> UnknownNConfig {
 pub fn optimize_unknown_n_with(epsilon: f64, delta: f64, opts: OptimizerOptions) -> UnknownNConfig {
     assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must lie in (0, 1)");
     assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
+    assert!(
+        opts.max_b <= table::MAX_B
+            && opts.max_h <= table::MAX_H
+            && opts.leaf_cap <= table::LEAF_CAP,
+        "optimizer options exceed the schedule table (b ≤ {}, h ≤ {}, leaf_cap ≤ {})",
+        table::MAX_B,
+        table::MAX_H,
+        table::LEAF_CAP
+    );
     let mut best: Option<UnknownNConfig> = None;
     for b in 2..=opts.max_b {
         for h in 1..=opts.max_h {
-            // Prune combos whose pre-onset phase is over the cap without
-            // simulating (binomial is exact for the adaptive policy).
-            if binomial(b as u64 + u64::from(h) - 1, u64::from(h)) > opts.leaf_cap {
+            if !table::within_leaf_cap(b, h, opts.leaf_cap) {
                 continue;
             }
-            let Some(s) = scalars_for(b, h, &opts) else {
+            let Some(s) = table::lookup(b, h, opts.leaf_cap) else {
                 continue;
             };
             let (alpha, k) = best_alpha(&s, epsilon, delta);
@@ -381,12 +381,12 @@ pub fn known_n_memory(epsilon: f64, delta: f64, n: u64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::{simulate_schedule, SimOptions};
 
     const FAST: OptimizerOptions = OptimizerOptions {
         max_b: 12,
         max_h: 6,
         leaf_cap: 20_000,
-        use_cache: true,
     };
 
     #[test]

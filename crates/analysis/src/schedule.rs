@@ -245,7 +245,6 @@ mod tests {
         max_b: 10,
         max_h: 5,
         leaf_cap: 20_000,
-        use_cache: true,
     };
 
     #[test]

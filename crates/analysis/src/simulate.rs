@@ -31,9 +31,6 @@
 //! The simulator inlines the adaptive lowest-level policy; tests cross-check
 //! its decisions against the real engine's [`mrl_framework::TreeStats`].
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
-
 use mrl_framework::{Mrl99Schedule, RateSchedule};
 
 /// Options controlling how far a schedule is replayed.
@@ -81,8 +78,9 @@ pub struct ScheduleScalars {
     pub x_min: f64,
     /// Greatest level reached during the replay.
     pub max_level: u32,
-    /// Memory growth profile under lazy allocation: `(leaves, slots)` at
-    /// each allocation event. Single entry `(0, b)` for upfront allocation.
+    /// Memory growth profile: `(leaves, slots)` at each allocation event.
+    /// With all buffers available up front the replay still allocates one
+    /// slot per `New` until all `b` exist: `[(0, 1), (1, 2), …, (b−1, b)]`.
     pub alloc_profile: Vec<(u64, usize)>,
 }
 
@@ -414,25 +412,6 @@ pub fn replay_prefix(b: usize, h: u32, leaves: u64) -> (u64, u32, Option<u64>) {
     )
 }
 
-/// Memoised [`simulate_schedule`] (the optimizer sweeps a `(b, h)` grid for
-/// many `(ε, δ)` pairs; the replay depends only on `(b, h)` and the
-/// options, which form the cache key).
-pub fn simulate_schedule_cached(b: usize, h: u32, opts: SimOptions) -> Option<ScheduleScalars> {
-    type Key = (usize, u32, u64, u32);
-    static CACHE: OnceLock<Mutex<HashMap<Key, Option<ScheduleScalars>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (b, h, opts.leaf_cap, opts.extra_levels);
-    if let Some(hit) = cache.lock().expect("cache poisoned").get(&key) {
-        return hit.clone();
-    }
-    let result = simulate_schedule(b, h, opts);
-    cache
-        .lock()
-        .expect("cache poisoned")
-        .insert(key, result.clone());
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,15 +526,6 @@ mod tests {
         // Still logarithmic-ish: even 20k leaves with b=4 keeps the tree
         // shallow.
         assert!(g3 < 20.0, "g3={g3}");
-    }
-
-    #[test]
-    fn cached_simulation_equals_fresh() {
-        let fresh = simulate_schedule(4, 3, SimOptions::default());
-        let cached1 = simulate_schedule_cached(4, 3, SimOptions::default());
-        let cached2 = simulate_schedule_cached(4, 3, SimOptions::default());
-        assert_eq!(fresh, cached1);
-        assert_eq!(cached1, cached2);
     }
 
     #[test]

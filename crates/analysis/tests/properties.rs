@@ -15,7 +15,6 @@ fn small_opts() -> OptimizerOptions {
         max_b: 8,
         max_h: 4,
         leaf_cap: 5_000,
-        use_cache: true,
     }
 }
 

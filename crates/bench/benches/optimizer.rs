@@ -1,11 +1,11 @@
 //! Benchmarks of the analysis layer itself: the cost of certifying a
-//! configuration by schedule replay and of the full §4.5 optimisation
-//! (these run at sketch-construction time, so they matter for short-lived
-//! sketches).
+//! configuration by schedule replay (what the committed schedule table
+//! saves) and of the full §4.5 optimisation, which runs at
+//! sketch-construction time and so matters for short-lived sketches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use mrl_analysis::optimizer::{optimize_known_n, optimize_unknown_n_with, OptimizerOptions};
+use mrl_analysis::optimizer::{optimize_known_n, optimize_unknown_n};
 use mrl_analysis::simulate::{simulate_schedule, SimOptions};
 use mrl_analysis::stein_sample_size;
 
@@ -24,11 +24,8 @@ fn bench_replay(c: &mut Criterion) {
 fn bench_optimizers(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimize");
     group.sample_size(10);
-    // The replay cache is process-global: prime it so the numbers reflect
-    // the amortised (cached) cost an application actually pays.
-    let _ = optimize_unknown_n_with(0.01, 1e-4, OptimizerOptions::default());
-    group.bench_function("unknown_n_eps_0.01_cached", |b| {
-        b.iter(|| optimize_unknown_n_with(0.01, 1e-4, OptimizerOptions::default()))
+    group.bench_function("unknown_n_eps_0.01", |b| {
+        b.iter(|| optimize_unknown_n(0.01, 1e-4))
     });
     group.bench_function("known_n_eps_0.01_n_1e9", |b| {
         b.iter(|| optimize_known_n(0.01, 1e-4, 1_000_000_000))

@@ -13,9 +13,8 @@ use mrl_exact::rank_error;
 use mrl_sampling::{rng_from_seed, Reservoir};
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let (eps, delta) = (0.01, 0.001);
-    let config = mrl_analysis::optimizer::optimize_unknown_n_with(eps, delta, opts);
+    let config = mrl_analysis::optimizer::optimize_unknown_n(eps, delta);
     let phis = [0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99];
     let trials = if cfg!(debug_assertions) { 3u64 } else { 10 };
 

@@ -6,8 +6,8 @@
 //! optimizer's free choice.
 
 use mrl_analysis::bounds::required_x;
-use mrl_analysis::optimizer::optimize_unknown_n_with;
-use mrl_analysis::simulate::{simulate_schedule_cached, SimOptions};
+use mrl_analysis::optimizer::optimize_unknown_n;
+use mrl_analysis::table::{lookup, LEAF_CAP};
 use mrl_bench::{emit_json, TextTable};
 use serde::Serialize;
 
@@ -19,9 +19,8 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let (eps, delta) = (0.01, 0.0001);
-    let free = optimize_unknown_n_with(eps, delta, opts);
+    let free = optimize_unknown_n(eps, delta);
     println!(
         "Alpha ablation at epsilon = {eps}, delta = {delta}: the optimizer chose \
          b = {}, h = {}, alpha = {:.3}, memory = {}\n",
@@ -29,15 +28,7 @@ fn main() {
     );
 
     // Fix the optimizer's (b, h) and sweep alpha.
-    let scalars = simulate_schedule_cached(
-        free.b,
-        free.h,
-        SimOptions {
-            leaf_cap: opts.leaf_cap,
-            ..SimOptions::default()
-        },
-    )
-    .expect("the chosen configuration certifies");
+    let scalars = lookup(free.b, free.h, LEAF_CAP).expect("the chosen configuration is tabled");
 
     let mut table = TextTable::new(["alpha", "required k", "memory bk"]);
     for i in 1..=19 {

@@ -18,14 +18,13 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let n: u64 = if cfg!(debug_assertions) {
         200_000
     } else {
         1_000_000
     };
     let data: Vec<u64> = (0..n).map(|i| (i * 2654435761) % 1_000_003).collect();
-    let config = mrl_analysis::optimizer::optimize_unknown_n_with(0.01, 1e-4, opts);
+    let config = mrl_analysis::optimizer::optimize_unknown_n(0.01, 1e-4);
 
     println!("Comparison counts per element, N = {n} (epsilon = 0.01 for the sketch)\n");
     let mut table = TextTable::new(["method", "comparisons / element"]);

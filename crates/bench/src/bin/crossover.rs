@@ -6,7 +6,7 @@
 //! This sweep prints both memory requirements across ε and locates the
 //! crossover, the concrete version of the paper's asymptotic argument.
 
-use mrl_analysis::optimizer::optimize_unknown_n_with;
+use mrl_analysis::optimizer::optimize_unknown_n;
 use mrl_bench::table::fmt_k;
 use mrl_bench::{emit_json, TextTable};
 use mrl_sampling::reservoir_sample_size;
@@ -21,14 +21,13 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let delta = 0.0001f64;
     println!("MRL99 vs reservoir sampling memory, delta = {delta}\n");
     let mut table = TextTable::new(["epsilon", "MRL99 bk", "reservoir s", "reservoir/MRL"]);
     let mut crossover: Option<f64> = None;
     let mut prev_ratio = 0.0f64;
     for &eps in &[0.2, 0.1, 0.05, 0.02, 0.01, 0.005, 0.002, 0.001] {
-        let mrl = optimize_unknown_n_with(eps, delta, opts).memory;
+        let mrl = optimize_unknown_n(eps, delta).memory;
         let res = reservoir_sample_size(eps, delta);
         let ratio = res as f64 / mrl as f64;
         if prev_ratio < 1.0 && ratio >= 1.0 {

@@ -7,7 +7,7 @@
 //! values of N and save on memory" — its curve rises with `log₁₀ N` and
 //! plateaus below the unknown-`N` line once sampling engages.
 
-use mrl_analysis::optimizer::{known_n_memory, optimize_unknown_n_with};
+use mrl_analysis::optimizer::{known_n_memory, optimize_unknown_n};
 use mrl_bench::{emit_json, TextTable};
 use serde::Serialize;
 
@@ -19,9 +19,8 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let (eps, delta) = (0.01, 0.0001);
-    let unknown = optimize_unknown_n_with(eps, delta, opts);
+    let unknown = optimize_unknown_n(eps, delta);
 
     println!("Figure 4: memory vs log10(N), epsilon = {eps}, delta = {delta}\n");
     let mut table = TextTable::new(["log10(N)", "known-N memory", "unknown-N memory"]);

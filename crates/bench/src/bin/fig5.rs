@@ -6,7 +6,7 @@
 //! budget above the unconstrained unknown-`N` optimum; the search returns a
 //! valid schedule whose profile hugs them.
 
-use mrl_analysis::optimizer::{known_n_memory, optimize_unknown_n_with};
+use mrl_analysis::optimizer::{known_n_memory, optimize_unknown_n, OptimizerOptions};
 use mrl_analysis::schedule::{find_schedule, MemoryLimit};
 use mrl_bench::{emit_json, TextTable};
 use serde::Serialize;
@@ -19,9 +19,9 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
+    let opts = OptimizerOptions::default();
     let (eps, delta) = (0.01, 0.0001);
-    let base = optimize_unknown_n_with(eps, delta, opts);
+    let base = optimize_unknown_n(eps, delta);
     println!("Figure 5: valid buffer-allocation schedule, epsilon = {eps}, delta = {delta}");
     println!("Unconstrained unknown-N memory: {} elements\n", base.memory);
 

@@ -6,8 +6,8 @@
 //! deterministic tree is deep, so the tree-error constraint forces `k` up
 //! instead (Eqn 3: `h ≲ 2εk`). The optimizer picks the valley.
 
-use mrl_analysis::optimizer::{optimize_unknown_n_with, OptimizerOptions};
-use mrl_analysis::simulate::{simulate_schedule_cached, SimOptions};
+use mrl_analysis::optimizer::optimize_unknown_n;
+use mrl_analysis::table::{lookup, LEAF_CAP, MAX_H};
 use mrl_bench::{emit_json, TextTable};
 use serde::Serialize;
 
@@ -21,9 +21,8 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let (eps, delta) = (0.01, 0.0001);
-    let free = optimize_unknown_n_with(eps, delta, opts);
+    let free = optimize_unknown_n(eps, delta);
     println!(
         "Onset-height ablation at epsilon = {eps}, delta = {delta} with b = {} \
          (the optimizer's choice; it picked h = {}):\n",
@@ -31,15 +30,8 @@ fn main() {
     );
 
     let mut table = TextTable::new(["h", "L_d (leaves)", "required k", "memory bk"]);
-    for h in 1..=opts.max_h {
-        let Some(s) = simulate_schedule_cached(
-            free.b,
-            h,
-            SimOptions {
-                leaf_cap: opts.leaf_cap,
-                ..SimOptions::default()
-            },
-        ) else {
+    for h in 1..=MAX_H {
+        let Some(s) = lookup(free.b, h, LEAF_CAP) else {
             table.row([
                 format!("{h}"),
                 "— (over cap)".into(),
@@ -75,7 +67,6 @@ fn main() {
         });
     }
     table.print();
-    let _ = OptimizerOptions::default();
     println!(
         "\nShape checks: memory falls as h grows (more deterministic leaves = \
          more Hoeffding mass) until the tree-depth constraint bites; the \

@@ -1,6 +1,7 @@
 //! **§6 validation**: parallel runs at P ∈ {1, 2, 4, 8} workers — accuracy
 //! of the merged result and the per-worker / coordinator memory bounds.
 
+use mrl_analysis::optimizer::OptimizerOptions;
 use mrl_bench::{emit_json, TextTable};
 use mrl_datagen::{ArrivalOrder, ValueDistribution, Workload};
 use mrl_exact::rank_error;
@@ -17,7 +18,7 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
+    let opts = OptimizerOptions::default();
     let (eps, delta) = (0.02, 0.001);
     let n_total = if cfg!(debug_assertions) {
         400_000u64

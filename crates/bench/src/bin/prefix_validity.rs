@@ -24,9 +24,8 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let (eps, delta) = (0.01, 0.001);
-    let config = mrl_analysis::optimizer::optimize_unknown_n_with(eps, delta, opts);
+    let config = mrl_analysis::optimizer::optimize_unknown_n(eps, delta);
     let n: u64 = if cfg!(debug_assertions) {
         300_000
     } else {

@@ -6,7 +6,7 @@
 //! Paper claim to reproduce: "The new algorithm requires no more than
 //! twice the memory required by the old one" (§4.6).
 
-use mrl_analysis::optimizer::{known_n_memory, optimize_unknown_n_with};
+use mrl_analysis::optimizer::{known_n_memory, optimize_unknown_n};
 use mrl_bench::table::fmt_k;
 use mrl_bench::{emit_json, TextTable};
 use serde::Serialize;
@@ -23,7 +23,6 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let epsilons = [0.1, 0.05, 0.01, 0.005, 0.001];
     let deltas = [0.01, 0.001, 0.0001];
 
@@ -40,7 +39,7 @@ fn main() {
     ]);
     for &eps in &epsilons {
         for &delta in &deltas {
-            let u = optimize_unknown_n_with(eps, delta, opts);
+            let u = optimize_unknown_n(eps, delta);
             let known = known_n_memory(eps, delta, u64::MAX);
             let ratio = u.memory as f64 / known as f64;
             table.row([

@@ -7,7 +7,7 @@
 //! slowly as a function of p" (O(log log p)) and "pre-computation requires
 //! significantly more memory" (the ε/2 guarantee dominates).
 
-use mrl_analysis::optimizer::optimize_unknown_n_with;
+use mrl_analysis::optimizer::optimize_unknown_n;
 use mrl_bench::table::fmt_k;
 use mrl_bench::{emit_json, TextTable};
 use serde::Serialize;
@@ -20,7 +20,6 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let delta = 0.0001f64;
     let epsilons = [0.1, 0.05, 0.01, 0.005, 0.001];
     let ps: [u64; 4] = [1, 10, 100, 1000];
@@ -34,7 +33,7 @@ fn main() {
     for &eps in &epsilons {
         let mut cells: Vec<String> = vec![format!("{eps}")];
         for &p in &ps {
-            let cfg = optimize_unknown_n_with(eps, delta / p as f64, opts);
+            let cfg = optimize_unknown_n(eps, delta / p as f64);
             cells.push(fmt_k(cfg.memory));
             emit_json(&Row {
                 epsilon: eps,
@@ -44,7 +43,7 @@ fn main() {
         }
         let pre = {
             let grid = (1.0 / eps).ceil() as u64;
-            let cfg = optimize_unknown_n_with(eps / 2.0, delta / grid as f64, opts);
+            let cfg = optimize_unknown_n(eps / 2.0, delta / grid as f64);
             cfg.memory
         };
         cells.push(fmt_k(pre));

@@ -9,7 +9,7 @@
 //! is small.
 
 use mrl_analysis::kl::stein_sample_size;
-use mrl_analysis::optimizer::optimize_unknown_n_with;
+use mrl_analysis::optimizer::optimize_unknown_n;
 use mrl_bench::{emit_json, TextTable};
 use mrl_core::{ExtremeValue, Tail};
 use mrl_datagen::{ArrivalOrder, ValueDistribution, Workload};
@@ -29,7 +29,6 @@ struct Row {
 }
 
 fn main() {
-    let opts = mrl_bench::eval::experiment_options();
     let delta = 0.0001f64;
     let cases = [
         (0.001, 0.0005),
@@ -63,7 +62,7 @@ fn main() {
 
     for &(phi, eps) in &cases {
         let (s, k) = stein_sample_size(phi, eps, delta);
-        let general = optimize_unknown_n_with(eps, delta, opts).memory;
+        let general = optimize_unknown_n(eps, delta).memory;
 
         let mut max_err = 0.0f64;
         let mut failures = 0usize;

@@ -2,7 +2,7 @@
 //! errors against the guarantee, and estimate failure rates over seeded
 //! trials.
 
-use mrl_core::{OptimizerOptions, UnknownN, UnknownNConfig};
+use mrl_core::{UnknownN, UnknownNConfig};
 use mrl_datagen::Workload;
 use mrl_exact::rank_error;
 use serde::Serialize;
@@ -81,20 +81,10 @@ pub fn failure_rate(trials: &[Trial], epsilon: f64) -> ErrorSummary {
     }
 }
 
-/// The optimizer options experiment binaries use: the full search space in
-/// release builds, the reduced grid under `cfg(debug_assertions)` so `cargo
-/// run` without `--release` stays responsive.
-pub fn experiment_options() -> OptimizerOptions {
-    if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrl_core::OptimizerOptions;
     use mrl_datagen::{ArrivalOrder, ValueDistribution};
 
     #[test]

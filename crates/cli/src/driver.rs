@@ -231,11 +231,7 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
     let mut stats = StatsSink::new(args, stats);
     let journal = stats.journal_handle();
     journal.name_thread("driver", None);
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
+    let opts = OptimizerOptions::default();
 
     if args.report_every > 0 {
         // Online-aggregation mode: per-element inserts so the interim

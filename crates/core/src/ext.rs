@@ -20,8 +20,8 @@ where
     Self::Item: Ord + Clone + 'static,
 {
     /// Consume the iterator into an [`UnknownN`] sketch with guarantee
-    /// `(ε, δ)` (full optimizer search; see
-    /// [`QuantileIteratorExt::sketch_with_options`] for debug builds).
+    /// `(ε, δ)` (default optimizer search space; see
+    /// [`QuantileIteratorExt::sketch_with_options`] for another).
     fn sketch(self, epsilon: f64, delta: f64) -> UnknownN<Self::Item> {
         self.sketch_with_options(epsilon, delta, OptimizerOptions::default(), 0)
     }

@@ -46,7 +46,7 @@ impl<T: Ord + Clone + 'static> UnknownN<T> {
     }
 
     /// As [`UnknownN::new`] with an explicit optimizer search space (e.g.
-    /// [`OptimizerOptions::fast`] for debug builds).
+    /// the reduced grid of [`OptimizerOptions::fast`]).
     pub fn with_options(epsilon: f64, delta: f64, opts: OptimizerOptions) -> Self {
         let config = optimize_unknown_n_with(epsilon, delta, opts);
         Self::from_config(config, 0)
@@ -61,17 +61,14 @@ impl<T: Ord + Clone + 'static> UnknownN<T> {
             Mrl99Schedule::new(config.h),
             seed,
         );
-        // With the audit feature on, replay the schedule's certificate and
-        // attach it: the engine then re-checks the certified bound on the
-        // live tree at every seal/collapse. The replay is memoised per
-        // (b, h), so repeated construction (proptests, shard pools) pays
-        // for it once.
+        // With the audit feature on, attach the schedule's certificate from
+        // the committed replay table: the engine then re-checks the
+        // certified bound on the live tree at every seal/collapse. Configs
+        // outside the table run without it.
         #[cfg(feature = "invariant-audit")]
         {
-            use mrl_analysis::simulate::{simulate_schedule_cached, SimOptions};
-            if let Some(scalars) =
-                simulate_schedule_cached(config.b, config.h, SimOptions::default())
-            {
+            use mrl_analysis::table;
+            if let Some(scalars) = table::lookup(config.b, config.h, table::LEAF_CAP) {
                 engine.set_certified_schedule(mrl_framework::CertifiedSchedule {
                     g_pre: scalars.g_pre,
                     g_post: scalars.g_post,

@@ -11,7 +11,7 @@
 
 use mrl::datagen::{ValueDistribution, WorkloadStream};
 use mrl::io::{ColumnScan, ColumnWriter};
-use mrl::sketch::{OptimizerOptions, UnknownN};
+use mrl::sketch::UnknownN;
 
 fn main() -> std::io::Result<()> {
     let rows: u64 = if cfg!(debug_assertions) {
@@ -40,12 +40,7 @@ fn main() -> std::io::Result<()> {
     println!("file size: {:.1} MiB\n", bytes as f64 / (1024.0 * 1024.0));
 
     // One buffered pass through the sketch.
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
-    let mut sketch = UnknownN::<u64>::with_options(0.01, 1e-4, opts).with_seed(3);
+    let mut sketch = UnknownN::<u64>::new(0.01, 1e-4).with_seed(3);
     let started = std::time::Instant::now();
     for v in ColumnScan::open(&path)?.values() {
         sketch.insert(v);

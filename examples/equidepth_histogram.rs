@@ -11,18 +11,13 @@
 //! ```
 
 use mrl::datagen::{sales_stream, SaleRecord};
-use mrl::sketch::{EquiDepthHistogram, OptimizerOptions};
+use mrl::sketch::EquiDepthHistogram;
 
 fn main() {
     let buckets = 10;
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
     // Boundary ranks within 0.5% of exact, all ten at once, 99.99% of the
     // time.
-    let mut hist = EquiDepthHistogram::<u64>::with_options(buckets, 0.005, 1e-4, opts).with_seed(7);
+    let mut hist = EquiDepthHistogram::<u64>::new(buckets, 0.005, 1e-4).with_seed(7);
     println!(
         "10-bucket equi-depth histogram over a growing sales table \
          (memory bound: {} elements)\n",

@@ -11,7 +11,7 @@
 //! ```
 
 use mrl::datagen::sales_stream;
-use mrl::sketch::{ExtremeValue, OptimizerOptions, Tail};
+use mrl::sketch::{ExtremeValue, Tail};
 
 fn main() {
     let n: u64 = if cfg!(debug_assertions) {
@@ -52,12 +52,7 @@ fn main() {
     );
 
     // Contrast with the general algorithm's memory for the same guarantee.
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
-    let general = mrl::analysis::optimizer::optimize_unknown_n_with(eps, delta, opts);
+    let general = mrl::analysis::optimizer::optimize_unknown_n(eps, delta);
     println!(
         "The general unknown-N algorithm would keep {} elements for (eps={eps}, delta={delta}) — \
          {}x more than the extreme-value heap.",

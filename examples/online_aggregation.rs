@@ -8,16 +8,11 @@
 //! ```
 
 use mrl::datagen::{ValueDistribution, WorkloadStream};
-use mrl::sketch::{OptimizerOptions, UnknownN};
+use mrl::sketch::UnknownN;
 
 fn main() {
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
     let (epsilon, delta) = (0.01, 1e-3);
-    let mut sketch = UnknownN::<u64>::with_options(epsilon, delta, opts).with_seed(5);
+    let mut sketch = UnknownN::<u64>::new(epsilon, delta).with_seed(5);
 
     // A long scan of normally distributed values; the true median is the
     // distribution mean, 500_000.

@@ -5,18 +5,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use mrl::sketch::{OptimizerOptions, UnknownN};
+use mrl::sketch::UnknownN;
 
 fn main() {
     // Guarantee: every answer within 1% of the true rank, with probability
     // 99.9% — no matter how long the stream turns out to be.
     let (epsilon, delta) = (0.01, 1e-3);
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
-    let mut sketch = UnknownN::<u64>::with_options(epsilon, delta, opts).with_seed(42);
+    let mut sketch = UnknownN::<u64>::new(epsilon, delta).with_seed(42);
     let cfg = sketch.config().clone();
     println!(
         "Configured automatically: b = {} buffers x k = {} elements = {} total ({}B at 8B/elem)",

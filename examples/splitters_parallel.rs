@@ -24,11 +24,6 @@ fn main() {
     } else {
         1_000_000
     };
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
 
     // Each worker owns a differently-seeded shard of an exponential
     // (right-skewed) distribution — the hard case for naive equal-width
@@ -49,7 +44,8 @@ fn main() {
     let phis: Vec<f64> = (1..target_parts)
         .map(|i| i as f64 / target_parts as f64)
         .collect();
-    let out = parallel_quantiles(inputs, 0.005, 1e-4, &phis, opts, 7).expect("inputs are nonempty");
+    let out = parallel_quantiles(inputs, 0.005, 1e-4, &phis, OptimizerOptions::default(), 7)
+        .expect("inputs are nonempty");
 
     println!(
         "{} workers x {} rows; splitters for {} partitions (eps = 0.5%, delta = 1e-4):\n",

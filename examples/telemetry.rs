@@ -17,11 +17,7 @@ use mrl::parallel::ShardedSketch;
 use mrl::sketch::{OptimizerOptions, UnknownN};
 
 fn main() {
-    let opts = if cfg!(debug_assertions) {
-        OptimizerOptions::fast()
-    } else {
-        OptimizerOptions::default()
-    };
+    let opts = OptimizerOptions::default();
     let (epsilon, delta) = (0.01, 1e-3);
     let total: usize = if cfg!(debug_assertions) {
         500_000

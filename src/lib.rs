@@ -32,13 +32,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use mrl::sketch::{OptimizerOptions, UnknownN};
+//! use mrl::sketch::UnknownN;
 //!
-//! // 1% rank error with probability 99.99%, stream length unknown. (The
-//! // doc example uses the reduced optimizer grid to stay fast in debug
-//! // builds; plain `UnknownN::new` searches the full grid.)
-//! let mut sketch =
-//!     UnknownN::<u64>::with_options(0.01, 1e-4, OptimizerOptions::fast()).with_seed(42);
+//! // 1% rank error with probability 99.99%, stream length unknown.
+//! let mut sketch = UnknownN::<u64>::new(0.01, 1e-4).with_seed(42);
 //! for value in 0..100_000u64 {
 //!     sketch.insert(value);
 //! }
