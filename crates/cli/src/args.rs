@@ -103,9 +103,10 @@ OPTIONS:
                       exposition format
     --help            show this text
 
-Input lines that do not parse are counted and skipped. Values are read as
-i64 by default (negative numbers welcome) or as f64 with --float (NaN
-lines are skipped).";
+Input lines that do not parse, including lines that are not valid UTF-8,
+are counted and skipped; blank lines are ignored. Values are read as i64
+by default (negative numbers welcome) or as f64 with --float (NaN lines
+are skipped).";
 
 impl Args {
     /// Parse `argv[1..]`.

@@ -15,6 +15,7 @@ use mrl_parallel::{PipelineTelemetry, ShardedSketch};
 use serde::{Deserialize, Serialize};
 
 use crate::args::{Args, StatsFormat};
+use crate::ingest::{ingest, CliValue};
 
 /// What a run saw and concluded.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,31 +28,6 @@ pub struct Summary {
     pub quantiles: Vec<(f64, String)>,
     /// The sketch's memory bound in elements.
     pub memory_elements: usize,
-}
-
-/// A value type the CLI can stream (`Send + 'static` so values can cross
-/// into the sharded pipeline's worker threads).
-trait CliValue: Ord + Clone + Send + 'static {
-    fn parse(s: &str) -> Option<Self>;
-    fn render(&self) -> String;
-}
-
-impl CliValue for i64 {
-    fn parse(s: &str) -> Option<Self> {
-        s.parse().ok()
-    }
-    fn render(&self) -> String {
-        self.to_string()
-    }
-}
-
-impl CliValue for OrderedF64 {
-    fn parse(s: &str) -> Option<Self> {
-        s.parse::<f64>().ok().and_then(OrderedF64::new)
-    }
-    fn render(&self) -> String {
-        self.get().to_string()
-    }
 }
 
 /// One telemetry report as emitted by `--stats` (the JSON form is one of
@@ -240,32 +216,25 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
             UnknownN::<T>::with_options(args.epsilon, args.delta, opts).with_seed(args.seed);
         sketch.set_metrics(stats.handle());
         sketch.set_journal(journal.clone());
-        let mut skipped = 0u64;
-        for line in input.lines() {
-            let line = line?;
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match T::parse(trimmed) {
-                Some(v) => {
-                    sketch.insert(v);
-                    if sketch.n().is_multiple_of(args.report_every) {
-                        report(
-                            sketch.query_many(&args.phis),
-                            sketch.n(),
-                            &args.phis,
-                            &mut output,
-                            true,
-                        )?;
-                    }
-                    if args.stats_interval > 0 && sketch.n().is_multiple_of(args.stats_interval) {
-                        stats.emit(sketch.n(), Some(sketch.audit()), None, true)?;
-                    }
+        let skipped = ingest(input, |chunk: &[T]| {
+            for v in chunk {
+                sketch.insert(v.clone());
+                let n = sketch.n();
+                if n.is_multiple_of(args.report_every) {
+                    report(
+                        sketch.query_many(&args.phis),
+                        n,
+                        &args.phis,
+                        &mut output,
+                        true,
+                    )?;
                 }
-                None => skipped += 1,
+                if args.stats_interval > 0 && n.is_multiple_of(args.stats_interval) {
+                    stats.emit(n, Some(sketch.audit()), None, true)?;
+                }
             }
-        }
+            Ok(())
+        })?;
         let quantiles = report(
             sketch.query_many(&args.phis),
             sketch.n(),
@@ -297,7 +266,7 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
         );
         let mut dispatched = 0u64;
         let mut next_emit = interval_start(args.stats_interval);
-        let skipped = ingest_lines(input, |chunk: &[T]| {
+        let skipped = ingest(input, |chunk: &[T]| {
             sketch.insert_batch(chunk);
             dispatched += chunk.len() as u64;
             if dispatched >= next_emit {
@@ -339,7 +308,7 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
         sketch.set_metrics(stats.handle());
         sketch.set_journal(journal.clone());
         let mut next_emit = interval_start(args.stats_interval);
-        let skipped = ingest_lines(input, |chunk: &[T]| {
+        let skipped = ingest(input, |chunk: &[T]| {
             sketch.insert_batch(chunk);
             if sketch.n() >= next_emit {
                 next_emit = next_threshold(sketch.n(), args.stats_interval);
@@ -381,38 +350,6 @@ fn interval_start(interval: u64) -> u64 {
 /// one report is emitted per crossing).
 fn next_threshold(n: u64, interval: u64) -> u64 {
     (n / interval + 1).saturating_mul(interval)
-}
-
-/// Parse lines into values, feeding `sink` with chunks of up to 1024;
-/// returns how many lines were skipped as unparseable.
-fn ingest_lines<T: CliValue, R: BufRead>(
-    input: R,
-    mut sink: impl FnMut(&[T]) -> std::io::Result<()>,
-) -> std::io::Result<u64> {
-    const CHUNK: usize = 1024;
-    let mut skipped = 0u64;
-    let mut buf: Vec<T> = Vec::with_capacity(CHUNK);
-    for line in input.lines() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match T::parse(trimmed) {
-            Some(v) => {
-                buf.push(v);
-                if buf.len() == CHUNK {
-                    sink(&buf)?;
-                    buf.clear();
-                }
-            }
-            None => skipped += 1,
-        }
-    }
-    if !buf.is_empty() {
-        sink(&buf)?;
-    }
-    Ok(skipped)
 }
 
 fn report_skipped<W: Write>(skipped: u64, output: &mut W) -> std::io::Result<()> {

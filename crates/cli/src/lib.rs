@@ -7,6 +7,7 @@
 
 pub mod args;
 pub mod driver;
+mod ingest;
 
 pub use args::{Args, ParseError, StatsFormat};
 pub use driver::{run, run_with_stats, StatsReport, Summary};

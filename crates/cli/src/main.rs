@@ -6,7 +6,7 @@
 //! seq 1 1000000 | shuf | mrl-quantiles --eps 0.01 --phi 0.5,0.9,0.99
 //! ```
 
-use std::io::{self, BufWriter};
+use std::io::{self, BufReader, BufWriter};
 use std::process::ExitCode;
 
 use mrl_cli::{args::USAGE, run_with_stats, Args};
@@ -23,7 +23,8 @@ fn main() -> ExitCode {
         println!("{USAGE}");
         return ExitCode::SUCCESS;
     }
-    let stdin = io::stdin().lock();
+    // 64 KiB per read syscall; `StdinLock` alone reads 8 KiB at a time.
+    let stdin = BufReader::with_capacity(64 * 1024, io::stdin().lock());
     let stdout = BufWriter::new(io::stdout().lock());
     // Telemetry shares stderr with the run summary so stdout stays pure
     // quantile output (pipe-friendly); `--stats json` lines start with

@@ -9,7 +9,7 @@ fn binary() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mrl-quantiles"))
 }
 
-fn run_with_input(args: &[&str], input: &str) -> (String, String, i32) {
+fn run_with_input(args: &[&str], input: impl AsRef<[u8]>) -> (String, String, i32) {
     let mut child = binary()
         .args(args)
         .stdin(Stdio::piped())
@@ -21,7 +21,7 @@ fn run_with_input(args: &[&str], input: &str) -> (String, String, i32) {
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(input.as_bytes())
+        .write_all(input.as_ref())
         .expect("write stdin");
     let out = child.wait_with_output().expect("binary finishes");
     (
@@ -76,9 +76,10 @@ fn bad_epsilon_exits_two() {
 
 #[test]
 fn garbage_lines_are_reported_not_fatal() {
-    let (stdout, _, code) = run_with_input(&[], "1\nfoo\n2\nbar\n3\n");
-    assert_eq!(code, 0);
-    assert!(stdout.contains("# skipped 2"), "stdout: {stdout}");
+    // A line that is not UTF-8 is garbage like any other.
+    let (stdout, stderr, code) = run_with_input(&[], b"1\nfoo\n2\n\xff\nbar\n3\n");
+    assert_eq!(code, 0, "stderr: {stderr}");
+    assert!(stdout.contains("# skipped 3"), "stdout: {stdout}");
 }
 
 #[test]
