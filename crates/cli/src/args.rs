@@ -34,7 +34,9 @@ pub struct Args {
     /// stats stream at end-of-run, in the given format.
     pub stats: Option<StatsFormat>,
     /// Also emit interim telemetry every `stats_interval` parsed values
-    /// (0 = final report only). Requires `--stats`.
+    /// (0 = final report only). Requires `--stats`. With `shards > 1` the
+    /// shard workers parse, so the cadence and each interim report's `n`
+    /// count input lines dispatched instead.
     pub stats_interval: u64,
     /// Attach the flight recorder and write a chrome-trace
     /// (Perfetto-loadable) JSON file here at end-of-run.
@@ -96,7 +98,8 @@ OPTIONS:
                       to stderr; FORMAT is text (default) or json
     --stats-interval <u64>
                       also emit interim telemetry every N parsed values
-                      (requires --stats)                    [default: off]
+                      (with --shards: every N input lines dispatched, as
+                      the workers parse); requires --stats  [default: off]
     --trace <path>    attach the flight recorder and write a chrome-trace
                       JSON file (open in https://ui.perfetto.dev)
     --prom <path>     write the final metrics snapshot in Prometheus text

@@ -15,7 +15,7 @@ use mrl_parallel::{PipelineTelemetry, ShardedSketch};
 use serde::{Deserialize, Serialize};
 
 use crate::args::{Args, StatsFormat};
-use crate::ingest::{ingest, CliValue};
+use crate::ingest::{cut_lines, ingest, CliValue, LineBatch, CHUNK};
 
 /// What a run saw and concluded.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,7 +38,9 @@ pub struct Summary {
 pub struct StatsReport {
     /// `true` for cadence reports, `false` for the end-of-run report.
     pub interim: bool,
-    /// Parsed values consumed when the report was taken.
+    /// Parsed values consumed when the report was taken — except in a
+    /// sharded interim report, where it counts the input lines dispatched
+    /// to the shard workers (they, not the producer, parse the values).
     pub n: u64,
     /// Live ε-audit (single-sketch modes only).
     pub audit: Option<EpsilonAudit>,
@@ -216,7 +218,7 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
             UnknownN::<T>::with_options(args.epsilon, args.delta, opts).with_seed(args.seed);
         sketch.set_metrics(stats.handle());
         sketch.set_journal(journal.clone());
-        let skipped = ingest(input, |chunk: &[T]| {
+        let skipped = ingest(input, &mut Vec::new(), CHUNK, |chunk: &[T]| {
             for v in chunk {
                 sketch.insert(v.clone());
                 let n = sketch.n();
@@ -252,10 +254,11 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
             memory_elements: sketch.memory_bound_elements(),
         })
     } else if args.shards > 1 {
-        // Sharded bulk mode: chunks are dealt round-robin to a worker pool
-        // over bounded channels, and the shards' final buffers merge at a
-        // §6 coordinator.
-        let mut sketch = ShardedSketch::<T>::new_with_obs(
+        // Sharded bulk mode: the producer cuts the input into batches of
+        // `DEFAULT_SHARD_BATCH` lines and deals them round-robin to a
+        // worker pool over bounded channels; each worker parses its
+        // batches, and the shards' final buffers merge at a §6 coordinator.
+        let mut sketch = ShardedSketch::<T, LineBatch>::new_with_obs(
             args.shards,
             args.epsilon,
             args.delta,
@@ -264,21 +267,22 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
             stats.handle(),
             journal.clone(),
         );
-        let mut dispatched = 0u64;
         let mut next_emit = interval_start(args.stats_interval);
-        let skipped = ingest(input, |chunk: &[T]| {
-            sketch.insert_batch(chunk);
-            dispatched += chunk.len() as u64;
-            if dispatched >= next_emit {
-                next_emit = next_threshold(dispatched, args.stats_interval);
+        cut_lines(input, sketch.spare_batch(), |batch| {
+            sketch.send_batch(batch);
+            let lines = sketch.n();
+            if lines >= next_emit {
+                next_emit = next_threshold(lines, args.stats_interval);
                 // Per-shard audits only exist once workers finish, so the
-                // interim report is the live metrics snapshot alone.
-                stats.emit(dispatched, None, None, true)?;
+                // interim report is the live metrics snapshot alone, at
+                // the count of lines dispatched.
+                stats.emit(lines, None, None, true)?;
             }
-            Ok(())
+            Ok(sketch.spare_batch())
         })?;
         let memory_elements = sketch.memory_bound_elements();
         let outcome = sketch.finish()?;
+        let skipped = outcome.rejected();
         let quantiles = report(
             outcome.query_many(&args.phis),
             outcome.total_n(),
@@ -308,7 +312,7 @@ fn run_typed<T: CliValue, R: BufRead, W: Write, S: Write>(
         sketch.set_metrics(stats.handle());
         sketch.set_journal(journal.clone());
         let mut next_emit = interval_start(args.stats_interval);
-        let skipped = ingest(input, |chunk: &[T]| {
+        let skipped = ingest(input, &mut Vec::new(), CHUNK, |chunk: &[T]| {
             sketch.insert_batch(chunk);
             if sketch.n() >= next_emit {
                 next_emit = next_threshold(sketch.n(), args.stats_interval);
@@ -503,6 +507,116 @@ mod tests {
         assert!(out.contains("# skipped 2"));
     }
 
+    /// 30 000 lines that mix values with blank, junk, CRLF, padded and
+    /// non-UTF-8 lines, so the line batches hold uneven value counts.
+    fn hostile_input() -> Vec<u8> {
+        let mut input = Vec::new();
+        for i in 0..30_000u64 {
+            match i % 17 {
+                3 => input.extend_from_slice(b"junk"),
+                5 => {}
+                7 => input.extend_from_slice(b"\xff\xfe"),
+                11 => input.extend_from_slice(b" \x0B "),
+                _ => {
+                    input.extend_from_slice(format!(" {}\r", (i * 2654435761) % 30_000).as_bytes())
+                }
+            }
+            input.push(b'\n');
+        }
+        input
+    }
+
+    #[test]
+    fn sharded_modes_count_values_and_skips_like_bulk_mode() {
+        let input = hostile_input();
+        let mut args = args_with_phis(&[0.5]);
+        let mut out = Vec::new();
+        let bulk = run(&args, &input[..], &mut out).expect("io on buffers");
+        let junk = (0..30_000).filter(|i| matches!(i % 17, 3 | 7)).count();
+        assert_eq!(bulk.skipped, junk as u64);
+        for shards in [2, 3] {
+            args.shards = shards;
+            let sharded = run(&args, &input[..], &mut out).expect("io on buffers");
+            assert_eq!(sharded.n, bulk.n, "--shards {shards}");
+            assert_eq!(sharded.skipped, bulk.skipped, "--shards {shards}");
+        }
+    }
+
+    /// The CLI's `--shards 2` answers equal those of a `ShardedSketch` of
+    /// `Vec<T>` batches fed the parsed values with the same seed: the line
+    /// batches deal the same values to the same shards, each batch in one
+    /// `insert_batch`.
+    fn assert_sharded_cli_matches_value_pipeline<T: CliValue>(
+        input: &str,
+        values: &[T],
+        mut args: Args,
+    ) {
+        args.shards = 2;
+        args.seed = 17;
+        let (summary, _) = run_on(input, &args);
+        let mut reference = ShardedSketch::<T>::new(
+            2,
+            args.epsilon,
+            args.delta,
+            OptimizerOptions::default(),
+            args.seed,
+        );
+        for chunk in values.chunks(CHUNK) {
+            reference.insert_batch(chunk);
+        }
+        let outcome = reference.finish().expect("no shard panicked");
+        assert!(
+            outcome.telemetry().merged.sampling_onset_n.is_some(),
+            "the stream must push the shards past sampling rate 1"
+        );
+        let expected: Vec<(f64, String)> = args
+            .phis
+            .iter()
+            .copied()
+            .zip(
+                outcome
+                    .query_many(&args.phis)
+                    .expect("non-empty")
+                    .iter()
+                    .map(CliValue::render),
+            )
+            .collect();
+        assert_eq!(summary.n, values.len() as u64);
+        assert_eq!(summary.quantiles, expected);
+    }
+
+    #[test]
+    fn sharded_cli_answers_equal_the_value_pipeline_on_i64_input() {
+        let values: Vec<i64> = (0..300_001i64)
+            .map(|i| (i * 2654435761) % 1_000_003 - 500_000)
+            .collect();
+        let input: String = values.iter().map(|v| format!("{v}\n")).collect();
+        let args = Args {
+            epsilon: 0.05,
+            phis: vec![0.01, 0.25, 0.5, 0.75, 0.99],
+            ..Args::default()
+        };
+        assert_sharded_cli_matches_value_pipeline(&input, &values, args);
+    }
+
+    #[test]
+    fn sharded_cli_answers_equal_the_value_pipeline_on_f64_input() {
+        let values: Vec<OrderedF64> = (0..300_001u64)
+            .map(|i| {
+                let u = ((i * 2654435761) % 1_000_003) as f64 / 1_000_003.0;
+                OrderedF64::new((u - 0.5) / (1.0 - u)).expect("finite")
+            })
+            .collect();
+        let input: String = values.iter().map(|v| format!("{}\n", v.get())).collect();
+        let args = Args {
+            epsilon: 0.05,
+            phis: vec![0.01, 0.25, 0.5, 0.75, 0.99],
+            float: true,
+            ..Args::default()
+        };
+        assert_sharded_cli_matches_value_pipeline(&input, &values, args);
+    }
+
     fn run_with_stats_on(input: &str, args: &Args) -> (Summary, String, String) {
         let mut out = Vec::new();
         let mut stats = Vec::new();
@@ -563,6 +677,39 @@ mod tests {
         for r in &reports {
             assert!(r.audit.is_some());
         }
+    }
+
+    #[test]
+    fn stats_interval_in_sharded_mode_counts_lines_dispatched() {
+        let mut args = args_with_phis(&[0.5]);
+        args.stats = Some(StatsFormat::Json);
+        args.stats_interval = 5_000;
+        args.shards = 2;
+        // Every fourth line is blank: 12 000 lines hold 9 000 values.
+        let input: String = (0..12_000u64)
+            .map(|i| {
+                if i % 4 == 3 {
+                    "\n".into()
+                } else {
+                    format!("{i}\n")
+                }
+            })
+            .collect();
+        let (summary, _, stats) = run_with_stats_on(&input, &args);
+        assert_eq!(summary.n, 9_000);
+        let reports: Vec<StatsReport> = stats
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("valid JSONL"))
+            .collect();
+        // The producer deals 4096-line batches: the cadence fires at the
+        // crossings after 8192 and 12 000 lines dispatched, then the final
+        // report carries the values.
+        let ns: Vec<(bool, u64)> = reports.iter().map(|r| (r.interim, r.n)).collect();
+        assert_eq!(
+            ns,
+            vec![(true, 8_192), (true, 12_000), (false, 9_000)],
+            "{stats}"
+        );
     }
 
     #[test]

@@ -6,17 +6,27 @@
 //! The grammar is that of `BufRead::lines()` + `str::trim` + `str::parse`,
 //! except that a line that is not UTF-8 counts as unparseable instead of
 //! ending the run.
+//!
+//! The sharded mode parses on its workers instead: [`cut_lines`] only cuts
+//! the input into [`LineBatch`]es of whole lines, and each shard worker
+//! runs [`ingest`] over the bytes of the batches it is dealt.
 
+use std::cell::RefCell;
 use std::io::{self, BufRead};
 
-use mrl_core::OrderedF64;
+use mrl_core::{OrderedF64, UnknownN};
+use mrl_parallel::{ShardBatch, DEFAULT_SHARD_BATCH};
 
-/// Values per sink call. Every driver mode sees the same chunking, so a
-/// replay of the input in `CHUNK`-value batches reproduces a bulk run.
-const CHUNK: usize = 1024;
+/// Values per sink call in the bulk and `--every` modes, so a replay of
+/// the input in `CHUNK`-value batches reproduces a bulk run.
+pub(crate) const CHUNK: usize = 1024;
 
 /// The carry buffer shrinks back to this after a longer straddling line.
 const CARRY_KEEP: usize = 64 * 1024;
+
+/// A line batch's byte buffer shrinks back to this (64 bytes a line)
+/// after a batch that held a very long line.
+const BATCH_KEEP: usize = DEFAULT_SHARD_BATCH * 64;
 
 /// A value type the CLI can stream (`Send + 'static` so values can cross
 /// into the sharded pipeline's worker threads).
@@ -25,6 +35,14 @@ pub(crate) trait CliValue: Ord + Clone + Send + 'static {
     /// `str::parse` on UTF-8 input.
     fn parse(line: &[u8]) -> Option<Self>;
     fn render(&self) -> String;
+    /// Run `f` on the calling thread's value scratch, so a shard worker
+    /// parses every batch it is dealt into one buffer.
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R;
+}
+
+thread_local! {
+    static I64_SCRATCH: RefCell<Vec<i64>> = const { RefCell::new(Vec::new()) };
+    static F64_SCRATCH: RefCell<Vec<OrderedF64>> = const { RefCell::new(Vec::new()) };
 }
 
 impl CliValue for i64 {
@@ -33,6 +51,9 @@ impl CliValue for i64 {
     }
     fn render(&self) -> String {
         self.to_string()
+    }
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
+        I64_SCRATCH.with_borrow_mut(f)
     }
 }
 
@@ -43,6 +64,9 @@ impl CliValue for OrderedF64 {
     }
     fn render(&self) -> String {
         self.get().to_string()
+    }
+    fn with_scratch<R>(f: impl FnOnce(&mut Vec<Self>) -> R) -> R {
+        F64_SCRATCH.with_borrow_mut(f)
     }
 }
 
@@ -144,22 +168,24 @@ fn find_newline(bytes: &[u8]) -> Option<usize> {
 }
 
 /// Read `input` to its end and parse one value per non-blank line, handing
-/// the values to `sink` in input order, [`CHUNK`] at a time (the last
-/// chunk may be shorter). Blank lines are ignored; returns how many
-/// non-blank lines did not parse.
+/// the values to `sink` in input order, `chunk` at a time (the last chunk
+/// may be shorter). `values` is the caller's scratch for those chunks; it
+/// is left empty. Blank lines are ignored; returns how many non-blank lines
+/// did not parse.
 pub(crate) fn ingest<T: CliValue, R: BufRead>(
     mut input: R,
+    values: &mut Vec<T>,
+    chunk: usize,
     mut sink: impl FnMut(&[T]) -> io::Result<()>,
 ) -> io::Result<u64> {
-    let mut values: Vec<T> = Vec::with_capacity(CHUNK);
     let mut skipped = 0u64;
     let mut on_line = |line: &[u8]| -> io::Result<()> {
         match parse_line(line) {
             Line::Blank => {}
             Line::Value(v) => {
                 values.push(v);
-                if values.len() == CHUNK {
-                    sink(&values)?;
+                if values.len() == chunk {
+                    sink(values)?;
                     values.clear();
                 }
             }
@@ -193,9 +219,127 @@ pub(crate) fn ingest<T: CliValue, R: BufRead>(
     }
     on_line(&carry)?;
     if !values.is_empty() {
-        sink(&values)?;
+        sink(values)?;
+        values.clear();
     }
     Ok(skipped)
+}
+
+/// Whole input lines bound for one shard worker, which parses them there:
+/// the sharded producer only cuts bytes.
+#[derive(Debug, Default)]
+pub(crate) struct LineBatch {
+    /// The lines, each ending in `\n` but possibly the input's last.
+    bytes: Vec<u8>,
+    /// How many lines `bytes` holds.
+    lines: usize,
+}
+
+impl LineBatch {
+    /// Append `span` to the batch's bytes. A fresh buffer is allocated
+    /// once, at `hint` (the previous batch's byte length), so it is not
+    /// grown by repeated doubling; a batch longer than that grows exactly
+    /// to fit, and past twice `hint` (a very long line) by doubling, which
+    /// keeps the copying linear.
+    fn append(&mut self, span: &[u8], hint: usize) {
+        let len = self.bytes.len();
+        let need = len + span.len();
+        if need > self.bytes.capacity() {
+            let want = need.max(hint);
+            if want <= 2 * hint {
+                self.bytes.reserve_exact(want - len);
+            } else {
+                self.bytes.reserve(want - len);
+            }
+        }
+        self.bytes.extend_from_slice(span);
+    }
+}
+
+impl<T: CliValue> ShardBatch<T> for LineBatch {
+    fn items(&self) -> usize {
+        self.lines
+    }
+
+    /// Parse the batch with [`ingest`] into the worker's scratch and hand
+    /// all its values to the sketch in **one** `insert_batch`: above
+    /// sampling rate 1 the sketch is not invariant to how inserts are
+    /// chunked, and a batch of valid lines must feed exactly as the
+    /// `Vec<T>` batch of its values would.
+    fn feed(&mut self, sketch: &mut UnknownN<T>) -> u64 {
+        let parsed = T::with_scratch(|values| {
+            ingest(&self.bytes[..], values, usize::MAX, |values| {
+                sketch.insert_batch(values);
+                Ok(())
+            })
+        });
+        // A byte slice reads without error and the sink never fails.
+        parsed.unwrap_or_default()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.bytes.shrink_to(BATCH_KEEP);
+        self.lines = 0;
+    }
+}
+
+/// The length of the longest prefix of `bytes` with at most `want`
+/// newlines (it ends just past the `want`-th, if there is one), and how
+/// many newlines it holds.
+fn take_lines(bytes: &[u8], want: usize) -> (usize, usize) {
+    let (mut end, mut found) = (0, 0);
+    while found < want {
+        match find_newline(&bytes[end..]) {
+            Some(nl) => {
+                end += nl + 1;
+                found += 1;
+            }
+            None => return (bytes.len(), found),
+        }
+    }
+    (end, found)
+}
+
+/// Cut `input` into batches of [`DEFAULT_SHARD_BATCH`] whole lines, copied
+/// out of the reader's own buffer, without parsing them. Fills `batch`,
+/// hands each full one to `emit` and goes on with the batch `emit`
+/// returns; the input's last lines go out as a shorter batch, whose final
+/// line may lack its newline.
+pub(crate) fn cut_lines<R: BufRead>(
+    mut input: R,
+    mut batch: LineBatch,
+    mut emit: impl FnMut(LineBatch) -> io::Result<LineBatch>,
+) -> io::Result<()> {
+    let mut hint = 0;
+    loop {
+        let buf = match input.fill_buf() {
+            Ok([]) => break,
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        let len = buf.len();
+        let mut rest = buf;
+        while !rest.is_empty() {
+            let (end, found) = take_lines(rest, DEFAULT_SHARD_BATCH - batch.lines);
+            batch.append(&rest[..end], hint);
+            batch.lines += found;
+            rest = &rest[end..];
+            if batch.lines == DEFAULT_SHARD_BATCH {
+                hint = batch.bytes.len();
+                batch = emit(batch)?;
+            }
+        }
+        input.consume(len);
+    }
+    if let Some(&last) = batch.bytes.last() {
+        if last != b'\n' {
+            batch.lines += 1;
+        }
+        emit(batch)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -230,7 +374,8 @@ mod tests {
     /// returns the chunks the sink saw and the skipped count.
     fn chunks_of<T: CliValue>(input: &[u8], capacity: usize) -> (Vec<Vec<T>>, u64) {
         let mut chunks = Vec::new();
-        let skipped = ingest(BufReader::with_capacity(capacity, input), |c: &[T]| {
+        let reader = BufReader::with_capacity(capacity, input);
+        let skipped = ingest(reader, &mut Vec::new(), CHUNK, |c: &[T]| {
             chunks.push(c.to_vec());
             Ok(())
         })
@@ -332,6 +477,48 @@ mod tests {
             let padded = format!("{}{}", "0".repeat(zeros), number.unsigned_abs());
             for s in [padded.clone(), format!("-{padded}"), format!("+{padded}")] {
                 prop_assert_eq!(parse_i64(s.as_bytes()), s.parse::<i64>().ok(), "{:?}", s);
+            }
+        }
+    }
+
+    /// Cut `input` read `capacity` bytes per refill; returns each batch's
+    /// bytes and line count.
+    fn batches_of(input: &[u8], capacity: usize) -> Vec<(Vec<u8>, usize)> {
+        let mut batches = Vec::new();
+        let reader = BufReader::with_capacity(capacity, input);
+        cut_lines(reader, LineBatch::default(), |batch| {
+            batches.push((batch.bytes.clone(), batch.lines));
+            Ok(LineBatch::default())
+        })
+        .expect("reading a slice cannot fail");
+        batches
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn cut_lines_emits_the_input_in_whole_4096_line_batches(
+            lines in prop_vec((0usize..2 * BODIES.len(), any::<i64>(), 0usize..64, 0usize..4), 0..10_000),
+            final_newline in any::<bool>(),
+        ) {
+            let input = render(&lines, final_newline);
+            let newlines = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
+            for capacity in 1..=17 {
+                let batches = batches_of(&input, capacity);
+                let joined: Vec<u8> = batches.iter().flat_map(|(b, _)| b.iter().copied()).collect();
+                prop_assert_eq!(&joined, &input, "capacity {}", capacity);
+                let Some(((last, last_lines), full)) = batches.split_last() else {
+                    prop_assert!(input.is_empty());
+                    continue;
+                };
+                for (bytes, lines) in full {
+                    prop_assert_eq!(newlines(bytes), DEFAULT_SHARD_BATCH);
+                    prop_assert_eq!(*lines, DEFAULT_SHARD_BATCH);
+                }
+                prop_assert!(!last.is_empty() && newlines(last) <= DEFAULT_SHARD_BATCH);
+                let unterminated = usize::from(last.last() != Some(&b'\n'));
+                prop_assert_eq!(*last_lines, newlines(last) + unterminated);
             }
         }
     }

@@ -24,7 +24,8 @@
 //!   pre-existing input sequence;
 //! * [`ShardedSketch`] — one logical stream sharded round-robin over a
 //!   fixed worker pool behind bounded channels (multi-core ingestion of a
-//!   single source with backpressure).
+//!   single source with backpressure). Batches are `Vec<T>` by default or
+//!   any [`ShardBatch`], which lets the workers also do the decoding.
 
 #![warn(missing_docs)]
 #![warn(clippy::all)]
@@ -39,6 +40,6 @@ pub use coordinator::Coordinator;
 pub use hierarchy::{merge_hierarchical, ship_upward};
 pub use merge::merge_sketches;
 pub use pipeline::{
-    PipelineTelemetry, ShardedError, ShardedOutcome, ShardedSketch, DEFAULT_SHARD_BATCH,
+    PipelineTelemetry, ShardBatch, ShardedError, ShardedOutcome, ShardedSketch, DEFAULT_SHARD_BATCH,
 };
 pub use runner::{parallel_quantiles, ParallelOutcome};

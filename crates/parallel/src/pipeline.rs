@@ -15,6 +15,11 @@
 //! producer that outruns the workers blocks instead of buffering the
 //! stream in memory — ingestion stays `O(shards · b · k)` no matter how
 //! fast the input arrives.
+//!
+//! What travels down a channel is a [`ShardBatch`]: by default a
+//! `Vec<T>` of values, but a caller may ship any batch that knows how to
+//! feed itself to a shard's sketch — the CLI ships raw text lines, so the
+//! parse runs on the workers and the producer only splits bytes.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +54,8 @@ pub mod metrics {
     pub const BATCH_NS: &str = "pipeline.shard.batch_ns";
     /// Gauge, labelled by shard: elements that worker has consumed.
     pub const SHARD_ELEMENTS: &str = "pipeline.shard.elements";
-    /// Gauge: total elements dispatched by the producer.
+    /// Gauge: total items dispatched by the producer, counted by
+    /// [`ShardBatch::items`](crate::pipeline::ShardBatch::items).
     pub const DISPATCHED: Key = Key::new("pipeline.dispatched");
 }
 
@@ -87,25 +93,71 @@ impl From<ShardedError> for std::io::Error {
     }
 }
 
-/// Default elements per dispatched batch. Large enough that the channel
-/// and wakeup overhead amortises to well under a nanosecond per element;
-/// small enough that shards stay busy on modest streams.
+/// Default items per dispatched batch (values for `Vec<T>` batches; the
+/// CLI cuts its line batches to the same count). Large enough that the
+/// channel and wakeup overhead amortises to well under a nanosecond per
+/// element; small enough that shards stay busy on modest streams.
 pub const DEFAULT_SHARD_BATCH: usize = 4096;
 
 /// Bounded batches in flight per shard: enough to hide scheduling jitter,
 /// small enough that backpressure engages before memory does.
 const QUEUE_DEPTH: usize = 4;
 
-/// What a worker thread returns when joined: elements ingested, the
-/// shard's exact tree accounting, and its surviving buffers.
-type ShardShipment<T> = (u64, TreeStats, Vec<Buffer<T>>);
+/// One dispatched unit of work: what a shard worker receives, feeds to
+/// its sketch, clears and sends back for reuse.
+///
+/// `Vec<T>` is the plain batch of values. Other impls carry the input in
+/// another form and do the conversion on the worker (the CLI's line
+/// batches parse there), so that work is spread over the shards instead
+/// of staying on the producer.
+pub trait ShardBatch<T>: Default + Send + 'static {
+    /// How many input items the batch holds: the unit of
+    /// [`ShardedSketch::n`] and of the dispatch metrics.
+    fn items(&self) -> usize;
+
+    /// Feed the batch to the shard's sketch; returns how many items it
+    /// rejected (never reached the sketch).
+    fn feed(&mut self, sketch: &mut UnknownN<T>) -> u64;
+
+    /// Empty the batch for reuse, keeping (a bounded amount of) capacity.
+    fn clear(&mut self);
+}
+
+impl<T: Ord + Clone + Send + 'static> ShardBatch<T> for Vec<T> {
+    fn items(&self) -> usize {
+        self.len()
+    }
+
+    fn feed(&mut self, sketch: &mut UnknownN<T>) -> u64 {
+        sketch.insert_batch(self);
+        0
+    }
+
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+}
+
+/// What a worker thread returns when joined.
+struct ShardShipment<T> {
+    /// Elements the shard's sketch ingested.
+    n: u64,
+    /// Items its batches rejected.
+    rejected: u64,
+    /// The shard's exact tree accounting.
+    stats: TreeStats,
+    /// Its surviving buffers.
+    buffers: Vec<Buffer<T>>,
+}
 
 /// A quantile sketch whose ingestion is sharded across a fixed pool of
 /// worker threads.
 ///
 /// Feed it with [`ShardedSketch::insert`] / [`ShardedSketch::insert_batch`]
-/// from one producer thread; call [`ShardedSketch::finish`] to drain the
-/// pipeline and obtain a queryable [`ShardedOutcome`].
+/// from one producer thread — or, for a custom [`ShardBatch`] type `B`,
+/// fill batches from [`ShardedSketch::spare_batch`] and deal them with
+/// [`ShardedSketch::send_batch`]; call [`ShardedSketch::finish`] to drain
+/// the pipeline and obtain a queryable [`ShardedOutcome`].
 ///
 /// ```
 /// use mrl_core::OptimizerOptions;
@@ -119,19 +171,23 @@ type ShardShipment<T> = (u64, TreeStats, Vec<Buffer<T>>);
 /// assert!((median as f64 - 50_000.0).abs() <= 0.05 * 100_000.0 + 1.0);
 /// ```
 #[derive(Debug)]
-pub struct ShardedSketch<T> {
-    senders: Vec<SyncSender<Vec<T>>>,
+pub struct ShardedSketch<T, B = Vec<T>> {
+    senders: Vec<SyncSender<B>>,
     handles: Vec<JoinHandle<ShardShipment<T>>>,
-    /// Spent batch buffers returned by the workers; `dispatch` drains this
-    /// for its replacement vector so the steady state recycles a fixed pool
-    /// of batch allocations instead of allocating one per dispatch.
-    recycle: Receiver<Vec<T>>,
+    /// Spent batches returned by the workers; [`ShardedSketch::spare_batch`]
+    /// drains this so the steady state recycles a fixed pool of batch
+    /// allocations instead of allocating one per dispatch.
+    recycle: Receiver<B>,
     /// Batches in flight per shard channel (producer increments on send,
     /// worker decrements on receive); feeds the queue-depth gauges.
     queue_depths: Vec<Arc<AtomicU64>>,
-    pending: Vec<T>,
+    /// The batch `insert`/`insert_batch` are filling (always empty when
+    /// the caller deals its own batches).
+    pending: B,
     next_shard: usize,
+    /// Values per batch on the `insert` path ([`ShardedSketch::with_batch_size`]).
     batch: usize,
+    /// Items dealt to the workers so far.
     dispatched: u64,
     /// First shard observed dead (its channel disconnected, i.e. its worker
     /// panicked). Once set, dispatch stops and `finish` reports the error.
@@ -142,7 +198,7 @@ pub struct ShardedSketch<T> {
     journal: JournalHandle,
 }
 
-impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
+impl<T: Ord + Clone + Send + 'static, B: ShardBatch<T>> ShardedSketch<T, B> {
     /// Create a pool of `shards` workers, each running the certified
     /// `(ε, δ)` single-stream configuration.
     ///
@@ -239,12 +295,12 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut queue_depths = Vec::with_capacity(shards);
-        // Unbounded return channel for spent batch buffers: workers send
-        // their emptied vectors back and `dispatch` reuses them, so at most
+        // Unbounded return channel for spent batches: workers send their
+        // emptied batches back and `spare_batch` reuses them, so at most
         // `shards · (QUEUE_DEPTH + 1) + 1` batch allocations ever exist.
-        let (recycle_tx, recycle) = channel::<Vec<T>>();
+        let (recycle_tx, recycle) = channel::<B>();
         for i in 0..shards {
-            let (tx, rx) = sync_channel::<Vec<T>>(QUEUE_DEPTH);
+            let (tx, rx) = sync_channel::<B>(QUEUE_DEPTH);
             let config = config.clone();
             let shard_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
             let depth = Arc::new(AtomicU64::new(0));
@@ -257,8 +313,9 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
                 worker_journal.name_thread("shard", Some(shard));
                 let mut sketch = UnknownN::from_config(config, shard_seed);
                 sketch.set_journal(worker_journal.clone());
+                let mut rejected = 0u64;
                 // nondet: single-producer FIFO — this shard's channel is
-                // fed only by `dispatch`, so batches arrive in dispatch
+                // fed only by `send_batch`, so batches arrive in dispatch
                 // order no matter how workers are scheduled; the element
                 // sequence each shard ingests is timing-invariant.
                 while let Ok(mut batch) = rx.recv() {
@@ -267,13 +324,13 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
                     worker_depth.fetch_sub(1, Ordering::Relaxed);
                     let span = worker_journal.span("shard.batch");
                     let timer = worker_metrics.timer(Key::labeled(metrics::BATCH_NS, shard));
-                    sketch.insert_batch(&batch);
+                    rejected += batch.feed(&mut sketch);
                     timer.stop();
                     span.end();
                     worker_metrics.counter_add(Key::labeled(metrics::BATCHES, shard), 1);
                     // Clearing here keeps the element drops on the worker;
                     // a closed return channel (producer gone) just drops
-                    // the buffer.
+                    // the batch.
                     batch.clear();
                     let _ = worker_recycle.send(batch);
                 }
@@ -281,7 +338,13 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
                     Key::labeled(metrics::SHARD_ELEMENTS, shard),
                     sketch.n() as f64,
                 );
-                sketch.into_shipment_with_stats()
+                let (n, stats, buffers) = sketch.into_shipment_with_stats();
+                ShardShipment {
+                    n,
+                    rejected,
+                    stats,
+                    buffers,
+                }
             }));
             senders.push(tx);
             queue_depths.push(depth);
@@ -291,7 +354,7 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
             handles,
             recycle,
             queue_depths,
-            pending: Vec::with_capacity(DEFAULT_SHARD_BATCH),
+            pending: B::default(),
             next_shard: 0,
             batch: DEFAULT_SHARD_BATCH,
             dispatched: 0,
@@ -303,26 +366,15 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
         }
     }
 
-    /// Override the dispatch batch size (before inserting data).
-    ///
-    /// # Panics
-    /// Panics if `batch == 0`.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        assert!(batch >= 1, "batch size must be positive");
-        assert_eq!(self.n(), 0, "with_batch_size on a non-empty sketch");
-        self.batch = batch;
-        self
-    }
-
     /// Number of shard workers.
     pub fn shards(&self) -> usize {
         self.senders.len()
     }
 
-    /// Elements accepted so far (dispatched plus pending).
+    /// Items accepted so far, dispatched plus pending, counted by
+    /// [`ShardBatch::items`] (elements, for `Vec<T>` batches).
     pub fn n(&self) -> u64 {
-        self.dispatched + self.pending.len() as u64
+        self.dispatched + self.pending.items() as u64
     }
 
     /// The certified per-shard configuration in use.
@@ -343,61 +395,31 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
         self.shards() * self.config.memory
     }
 
-    /// Insert one element.
-    // alloc: pending carries `batch` capacity once the recycle pool has
-    // warmed up (dispatch swaps in a returned buffer), so the push reuses
-    // capacity.
-    pub fn insert(&mut self, item: T) {
-        self.pending.push(item);
-        if self.pending.len() >= self.batch {
-            self.dispatch();
-        }
+    /// An empty batch to fill and pass to [`ShardedSketch::send_batch`]:
+    /// one a worker sent back if any is waiting, else a new default one,
+    /// so the steady state allocates no batches.
+    // nondet: which recycled batch (or none) arrives here varies with
+    // worker timing, but every batch was cleared before its return — only
+    // spare capacity differs, never the items dispatched.
+    pub fn spare_batch(&mut self) -> B {
+        self.recycle.try_recv().unwrap_or_default()
     }
 
-    /// Insert a slice of elements, dispatching every completed batch.
-    pub fn insert_batch(&mut self, items: &[T]) {
-        let mut rest = items;
-        loop {
-            let room = self.batch - self.pending.len();
-            if rest.len() < room {
-                self.pending.extend_from_slice(rest);
-                return;
-            }
-            let (now, later) = rest.split_at(room);
-            self.pending.extend_from_slice(now);
-            self.dispatch();
-            rest = later;
-        }
-    }
-
-    /// Insert every element of an iterator.
-    pub fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
-        for item in iter {
-            self.insert(item);
-        }
-    }
-
-    /// Hand the pending batch to the next shard, blocking while that
-    /// shard's queue is full (the pipeline's backpressure). A disconnected
-    /// channel means the worker panicked: the shard is marked dead, further
-    /// dispatch stops, and [`ShardedSketch::finish`] reports the failure.
+    /// Hand `batch` to the next shard in round-robin order, blocking while
+    /// that shard's queue is full (the pipeline's backpressure). A
+    /// disconnected channel means the worker panicked: the shard is marked
+    /// dead, further batches are dropped, and [`ShardedSketch::finish`]
+    /// reports the failure.
     // panic-free: `shard` is next_shard, which is always reduced modulo
     // senders.len(), and queue_depths has one slot per sender.
-    fn dispatch(&mut self) {
-        // Prefer a spent buffer a worker sent back; until the pool warms up
-        // (or if the workers are all gone) fall back to an empty vector that
-        // grows to `batch` capacity through the producer's pushes.
-        // nondet: which recycled buffer (or none) arrives here varies with
-        // worker timing, but every buffer was cleared before its return —
-        // only spare capacity differs, never the elements dispatched.
-        let replacement = self.recycle.try_recv().unwrap_or_default();
-        let batch = std::mem::replace(&mut self.pending, replacement);
+    pub fn send_batch(&mut self, batch: B) {
         if self.dead_shard.is_some() {
             // The run is already doomed; dropping the batch keeps the
             // producer non-blocking until the error surfaces at finish().
             return;
         }
-        self.dispatched += batch.len() as u64;
+        let len = batch.items() as u64;
+        self.dispatched += len;
         let shard = self.next_shard;
         // Count the batch as in flight *before* the send: the worker's
         // decrement is ordered after its receive, which is ordered after
@@ -406,7 +428,6 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
         // channel send/receive provides the producer→worker happens-before.
         let depth = self.queue_depths[shard].fetch_add(1, Ordering::Relaxed) + 1;
         let delivered = if self.metrics.is_enabled() || self.journal.is_enabled() {
-            let len = batch.len() as u64;
             // Distinguish a clean hand-off from a backpressure stall: only
             // the blocking fallback is timed, so the stall histogram
             // measures time actually spent waiting on the slow consumer.
@@ -463,19 +484,22 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
     /// exists. Every surviving worker is still joined first, so the pool
     /// is fully torn down either way.
     pub fn finish(mut self) -> Result<ShardedOutcome<T>, ShardedError> {
-        if !self.pending.is_empty() {
-            self.dispatch();
+        if self.pending.items() > 0 {
+            let last = std::mem::take(&mut self.pending);
+            self.send_batch(last);
         }
         // Closing the channels ends each worker's receive loop.
         self.senders.clear();
         let mut dead_shard = self.dead_shard;
         let mut per_shard = Vec::with_capacity(self.handles.len());
         let mut shipments: Vec<(u64, Vec<Buffer<T>>)> = Vec::with_capacity(self.handles.len());
+        let mut rejected = 0u64;
         for (shard, h) in self.handles.drain(..).enumerate() {
             match h.join() {
-                Ok((n, stats, buffers)) => {
-                    per_shard.push(stats);
-                    shipments.push((n, buffers));
+                Ok(shipment) => {
+                    per_shard.push(shipment.stats);
+                    shipments.push((shipment.n, shipment.buffers));
+                    rejected += shipment.rejected;
                 }
                 // Keep joining the rest: the pool must be fully reaped even
                 // when the run is already doomed.
@@ -494,14 +518,71 @@ impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
             self.seed ^ 0x00C0_FFEE,
             shipments,
         );
-        debug_assert_eq!(total_n, self.dispatched);
         let telemetry = PipelineTelemetry::from_shards(total_n, per_shard);
         Ok(ShardedOutcome {
             coordinator,
             total_n,
+            rejected,
             workers,
             telemetry,
         })
+    }
+}
+
+impl<T: Ord + Clone + Send + 'static> ShardedSketch<T> {
+    /// Override the dispatch batch size (before inserting data).
+    ///
+    /// # Panics
+    /// Panics if `batch == 0`.
+    #[must_use]
+    pub fn with_batch_size(mut self, batch: usize) -> Self {
+        assert!(batch >= 1, "batch size must be positive");
+        assert_eq!(self.n(), 0, "with_batch_size on a non-empty sketch");
+        self.batch = batch;
+        self
+    }
+
+    /// Insert one element.
+    // alloc: pending carries `batch` capacity once the recycle pool has
+    // warmed up (dispatch swaps in a returned buffer), so the push reuses
+    // capacity.
+    pub fn insert(&mut self, item: T) {
+        self.pending.push(item);
+        if self.pending.len() >= self.batch {
+            self.dispatch();
+        }
+    }
+
+    /// Insert a slice of elements, dispatching every completed batch.
+    pub fn insert_batch(&mut self, items: &[T]) {
+        let mut rest = items;
+        loop {
+            let room = self.batch - self.pending.len();
+            if rest.len() < room {
+                self.pending.extend_from_slice(rest);
+                return;
+            }
+            let (now, later) = rest.split_at(room);
+            self.pending.extend_from_slice(now);
+            self.dispatch();
+            rest = later;
+        }
+    }
+
+    /// Insert every element of an iterator.
+    pub fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
+        for item in iter {
+            self.insert(item);
+        }
+    }
+
+    /// Deal the full pending batch, swapping in a spare one (until the
+    /// recycle pool warms up, an empty vector that grows to `batch`
+    /// capacity through the producer's pushes).
+    fn dispatch(&mut self) {
+        let spare = self.spare_batch();
+        let full = std::mem::replace(&mut self.pending, spare);
+        self.send_batch(full);
     }
 }
 
@@ -539,6 +620,7 @@ impl PipelineTelemetry {
 pub struct ShardedOutcome<T> {
     coordinator: Coordinator<T>,
     total_n: u64,
+    rejected: u64,
     workers: usize,
     telemetry: PipelineTelemetry,
 }
@@ -562,6 +644,12 @@ impl<T: Ord + Clone + 'static> ShardedOutcome<T> {
     /// Total elements ingested across all shards.
     pub fn total_n(&self) -> u64 {
         self.total_n
+    }
+
+    /// Items the shards' batches rejected ([`ShardBatch::feed`]'s
+    /// returns, summed); always 0 for `Vec<T>` batches.
+    pub fn rejected(&self) -> u64 {
+        self.rejected
     }
 
     /// Number of shard workers that contributed.
@@ -840,6 +928,98 @@ mod tests {
             }
             let out = s.finish().expect("no shard panicked");
             assert_eq!(out.total_n(), total, "round {round} lost a batch");
+        }
+    }
+
+    /// The `Vec<T>` invariant `finish` no longer asserts: every element
+    /// the producer accepted reaches a shard, so the merged `total_n`
+    /// equals the count dispatched (pending included, as `finish` flushes
+    /// it), whatever the batch size.
+    #[test]
+    fn vec_batches_ingest_exactly_what_was_dispatched() {
+        for (len, batch) in [
+            (0u64, 4096),
+            (1, 4096),
+            (4096, 4096),
+            (10_001, 4096),
+            (777, 10),
+        ] {
+            let mut s = ShardedSketch::<u64>::new(3, 0.1, 0.01, fast(), len).with_batch_size(batch);
+            s.insert_batch(&uniform(len.max(1))[..len as usize]);
+            let dispatched = s.n();
+            let out = s.finish().expect("no shard panicked");
+            assert_eq!(out.total_n(), dispatched, "len {len}, batch {batch}");
+            assert_eq!(out.rejected(), 0);
+        }
+    }
+
+    /// A batch of raw values that keeps only the even ones, rejecting the
+    /// rest on the worker; a value of `u64::MAX` makes the worker panic.
+    #[derive(Default)]
+    struct EvenOnly(Vec<u64>);
+
+    impl ShardBatch<u64> for EvenOnly {
+        fn items(&self) -> usize {
+            self.0.len()
+        }
+
+        fn feed(&mut self, sketch: &mut UnknownN<u64>) -> u64 {
+            assert!(!self.0.contains(&u64::MAX), "poisoned batch");
+            let mut rejected = 0;
+            for &v in &self.0 {
+                if v % 2 == 0 {
+                    sketch.insert(v);
+                } else {
+                    rejected += 1;
+                }
+            }
+            rejected
+        }
+
+        fn clear(&mut self) {
+            self.0.clear();
+        }
+    }
+
+    /// Deal `data` in batches of `batch` items through an [`EvenOnly`]
+    /// pipeline; returns the items it dispatched and the outcome.
+    fn run_even_only(
+        data: &[u64],
+        batch: usize,
+    ) -> (u64, Result<ShardedOutcome<u64>, ShardedError>) {
+        let config =
+            mrl_analysis::optimizer::optimize_unknown_n_with(0.05, 0.01, OptimizerOptions::fast());
+        let mut s = ShardedSketch::<u64, EvenOnly>::from_config(config, 3, 4);
+        for chunk in data.chunks(batch) {
+            let mut b = s.spare_batch();
+            assert_eq!(b.items(), 0, "spare batches come back cleared");
+            b.0.extend_from_slice(chunk);
+            s.send_batch(b);
+        }
+        (s.n(), s.finish())
+    }
+
+    #[test]
+    fn custom_batches_report_the_sum_of_their_rejects() {
+        let data = uniform(50_001);
+        let odd = data.iter().filter(|&&v| v % 2 == 1).count() as u64;
+        let (dispatched, out) = run_even_only(&data, 1000);
+        let out = out.expect("no shard panicked");
+        assert_eq!(dispatched, data.len() as u64);
+        assert_eq!(out.rejected(), odd);
+        assert_eq!(out.total_n(), data.len() as u64 - odd);
+        assert_eq!(out.telemetry().merged.elements, out.total_n());
+        assert_eq!(out.query(1.0).map(|v| v % 2), Some(0));
+    }
+
+    #[test]
+    fn panic_inside_feed_surfaces_as_sharded_error() {
+        let mut data = uniform(20_000);
+        data[9_500] = u64::MAX;
+        match run_even_only(&data, 1000).1 {
+            // Batch 9 holds the poison, and batch i goes to shard i % 3.
+            Err(ShardedError::WorkerPanicked { shard }) => assert_eq!(shard, 0),
+            Ok(_) => panic!("a panicking feed produced an outcome"),
         }
     }
 

@@ -15,8 +15,9 @@ use std::thread;
 use std::time::Duration;
 
 use mrl_core::OptimizerOptions;
+use mrl_core::UnknownN;
 use mrl_framework::{Buffer, BufferState};
-use mrl_parallel::{parallel_quantiles, ShardedSketch};
+use mrl_parallel::{parallel_quantiles, ShardBatch, ShardedOutcome, ShardedSketch};
 
 /// Canonical little-endian serialization of the coordinator's buffers:
 /// per buffer its state tag, weight, length, then the elements. Two
@@ -95,7 +96,66 @@ fn sharded_run(data: &[u64], seed: u64, perturb: bool) -> Observed {
             thread::sleep(Duration::from_micros(300));
         }
     }
+    observe(data, sketch.finish().expect("no worker panics"))
+}
+
+/// A batch shipped as little-endian bytes and decoded on the worker,
+/// which rejects multiples of 7 and feeds the rest in one `insert_batch`
+/// (the shape of the CLI's worker-side parse).
+#[derive(Default)]
+struct EncodedBatch {
+    bytes: Vec<u8>,
+    values: Vec<u64>,
+}
+
+impl ShardBatch<u64> for EncodedBatch {
+    fn items(&self) -> usize {
+        self.bytes.len() / 8
+    }
+
+    fn feed(&mut self, sketch: &mut UnknownN<u64>) -> u64 {
+        let mut rejected = 0;
+        for word in self.bytes.chunks_exact(8) {
+            let v = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            if v % 7 == 0 {
+                rejected += 1;
+            } else {
+                self.values.push(v);
+            }
+        }
+        sketch.insert_batch(&self.values);
+        rejected
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.values.clear();
+    }
+}
+
+/// As [`sharded_run`], through [`EncodedBatch`]es the caller fills from
+/// the recycle pool; returns the rejected count beside the observation.
+fn encoded_run(data: &[u64], seed: u64, perturb: bool) -> (Observed, u64) {
+    let _churn = perturb.then(|| Churn::start(4));
+    let mut sketch =
+        ShardedSketch::<u64, EncodedBatch>::new(3, 0.05, 0.01, OptimizerOptions::fast(), seed);
+    for (i, chunk) in data.chunks(4001).enumerate() {
+        let mut batch = sketch.spare_batch();
+        for v in chunk {
+            batch.bytes.extend_from_slice(&v.to_le_bytes());
+        }
+        sketch.send_batch(batch);
+        if perturb && i % 3 == 0 {
+            thread::sleep(Duration::from_micros(300));
+        }
+    }
     let outcome = sketch.finish().expect("no worker panics");
+    let rejected = outcome.rejected();
+    (observe(data, outcome), rejected)
+}
+
+/// Pin everything a finished run exposes.
+fn observe(data: &[u64], outcome: ShardedOutcome<u64>) -> Observed {
     let phis: Vec<f64> = (1..100).map(|i| f64::from(i) / 100.0).collect();
     let grid = outcome.query_many(&phis).expect("non-empty input");
     let total_n = outcome.total_n();
@@ -122,6 +182,19 @@ fn same_seed_sharded_runs_are_bitwise_identical_under_timing_noise() {
     assert_eq!(calm, noisy, "timing perturbation changed the results");
     assert_eq!(noisy, noisy2, "two perturbed runs disagree");
     assert_eq!(calm.total_n, 120_000);
+}
+
+#[test]
+fn same_seed_custom_batch_runs_are_bitwise_identical_under_timing_noise() {
+    let data = skewed_data(120_000);
+    let calm = encoded_run(&data, 0xD5EA_D002, false);
+    let noisy = encoded_run(&data, 0xD5EA_D002, true);
+    let noisy2 = encoded_run(&data, 0xD5EA_D002, true);
+    assert_eq!(calm, noisy, "timing perturbation changed the results");
+    assert_eq!(noisy, noisy2, "two perturbed runs disagree");
+    let sevens = data.iter().filter(|&&v| v % 7 == 0).count() as u64;
+    assert_eq!(calm.1, sevens);
+    assert_eq!(calm.0.total_n, 120_000 - sevens);
 }
 
 #[test]

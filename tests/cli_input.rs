@@ -1,8 +1,8 @@
 //! The `mrl-quantiles` input grammar as a table: each input runs through
-//! the sharded driver with one and two shards and through the per-element
-//! `--every` driver, and every mode must report the same value count,
-//! skipped-line count and quantiles. The inputs are small enough that the
-//! answers are exact.
+//! the sharded driver with one, two and three shards and through the
+//! per-element `--every` driver, and every mode must report the same value
+//! count, skipped-line count and quantiles. The inputs are small enough, or
+//! uniform enough, that the answers are exact.
 
 use mrl_cli::{run, Args};
 
@@ -40,6 +40,20 @@ fn cases() -> Vec<Case> {
     let mut junk_line = b"1\n".to_vec();
     junk_line.resize(2 + (1 << 20), b'x');
     junk_line.extend_from_slice(b"\n2\n");
+    // Six line batches of the sharded mode: every shard parses hostile
+    // lines, and three shards leave the last, partial batch on shard 2.
+    let mut many_batches = Vec::new();
+    for i in 0..5 * 4096 + 100 {
+        let line: &[u8] = match i % 6 {
+            0 => b"7\r\n",
+            1 => b"\n",
+            2 => b"junk\n",
+            3 => b"\xff\n",
+            4 => b" 7\x0B\n",
+            _ => "\u{a0}7\n".as_bytes(),
+        };
+        many_batches.extend_from_slice(line);
+    }
     vec![
         case("empty input", "", 0, 0, &[]),
         case("blank lines only", "\n \n\t\r\n\n", 0, 0, &[]),
@@ -85,14 +99,22 @@ fn cases() -> Vec<Case> {
             2,
             &["1", "1", "3"],
         ),
+        case(
+            "hostile lines across several shard batches",
+            many_batches,
+            10_290,
+            6_860,
+            &["7", "7", "7"],
+        ),
     ]
 }
 
 #[test]
 fn every_driver_mode_reads_the_same_grammar() {
-    let modes: [(&str, usize, u64); 3] = [
+    let modes: [(&str, usize, u64); 4] = [
         ("--shards 1", 1, 0),
         ("--shards 2", 2, 0),
+        ("--shards 3", 3, 0),
         ("--every 3", 1, 3),
     ];
     for c in cases() {
