@@ -78,7 +78,6 @@ pub(crate) const PANIC_ROOTS: &[&str] = &[
     "accept",
     "accept_many",
     "select_weighted",
-    "select_weighted_into",
     "query",
     "query_many",
     "finish",
@@ -103,7 +102,6 @@ pub(crate) const NONDET_ROOTS: &[&str] = &[
     "accept",
     "accept_many",
     "select_weighted",
-    "select_weighted_into",
     "query",
     "query_many",
     "rank_of",

@@ -4,12 +4,16 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 
+use mrl_framework::kernels::select_merged_weighted_spaced;
 use mrl_framework::{
     collapse_targets, merge_sorted_runs, merge_sorted_runs_with, select_weighted, sort_fixed,
     AdaptiveLowestLevel, AlsabtiRankaSingh, CollapsePolicy, Engine, EngineConfig, FixedRate,
     MergeScratch, MunroPaterson, RadixScratch, WeightedSource,
 };
 
+/// The engine's ≥ 4-source collapse: pair-merge the sources as
+/// `(element, weight)` runs in warm scratch, then one spaced selection
+/// sweep over the merged run.
 fn bench_weighted_select(c: &mut Criterion) {
     let mut group = c.benchmark_group("weighted_select");
     for &k in &[64usize, 512, 4096] {
@@ -24,13 +28,22 @@ fn bench_weighted_select(c: &mut Criterion) {
             })
             .collect();
         let w: u64 = runs.iter().map(|&(_, w)| w).sum();
-        group.bench_with_input(BenchmarkId::new("collapse_5_buffers", k), &k, |b, &k| {
+        let first = collapse_targets(k, w, false)[0];
+        let mut pairs: Vec<(u64, u64)> = Vec::new();
+        let mut starts: Vec<usize> = Vec::new();
+        let mut scratch = MergeScratch::default();
+        let mut out: Vec<u64> = Vec::new();
+        group.bench_with_input(BenchmarkId::new("pair_merge_5_buffers", k), &k, |b, &k| {
             b.iter(|| {
-                let sources: Vec<WeightedSource<'_, u64>> = runs
-                    .iter()
-                    .map(|(d, w)| WeightedSource::new(d, *w))
-                    .collect();
-                select_weighted(&sources, &collapse_targets(k, w, false))
+                pairs.clear();
+                starts.clear();
+                for (d, wi) in &runs {
+                    starts.push(pairs.len());
+                    pairs.extend(d.iter().map(|&v| (v, *wi)));
+                }
+                merge_sorted_runs_with(&mut pairs, &starts, &mut scratch);
+                select_merged_weighted_spaced(&pairs, first, w, k, &mut out);
+                out[k / 2]
             })
         });
     }
@@ -230,11 +243,11 @@ fn bench_seal_and_collapse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The seal-time crossover behind `run_merge_limit(k)`: at how many runs
+/// The seal-time crossover behind `RUN_MERGE_LIMIT`: at how many runs
 /// does the bottom-up `O(k log r)` run merge stop beating one
 /// cache-friendly `sort_unstable` over the whole buffer? Each case sorts
 /// the same k-element buffer arranged as `r` sorted runs, via both
-/// routes; `run_merge_limit` should sit where the curves cross.
+/// routes; `RUN_MERGE_LIMIT` should sit where the curves cross.
 fn bench_seal_crossover(c: &mut Criterion) {
     let mut group = c.benchmark_group("seal_crossover");
     for &k in &[256usize, 1024] {

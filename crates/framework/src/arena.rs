@@ -18,7 +18,6 @@
 use std::cell::RefCell;
 
 use crate::buffer::BufferMeta;
-use crate::merge::SelectScratch;
 use crate::policy::CollapseDecision;
 use crate::radix::RadixScratch;
 use crate::runs::MergeScratch;
@@ -32,7 +31,7 @@ use crate::spine::QuerySpine;
 #[derive(Clone, Debug)]
 pub struct ScratchArena<T> {
     /// Seal-time run merge: ping-pong buffer plus run-bounds scratch
-    /// (`RunTracker::sort_data_with`).
+    /// (`RunTracker::sort_data_with_radix`).
     pub(crate) merge: MergeScratch<T>,
     /// Raw-collapse concatenation: the deferred-seal inputs are gathered
     /// here and sorted in one pass.
@@ -41,12 +40,14 @@ pub struct ScratchArena<T> {
     /// is swapped into the output buffer slot (whose retired storage
     /// becomes the next collapse's staging via `take_storage`).
     pub(crate) select_out: Vec<T>,
-    /// Internals of the weighted-selection kernels: walk positions, the
-    /// `(element, weight)` pair buffers of the multi-source merge path and
-    /// their run bounds.
-    pub(crate) select: SelectScratch<T>,
-    /// Collapse target positions (`collapse_targets_into`).
-    pub(crate) targets: Vec<u64>,
+    /// ≥ 4-source collapses: the sources as `(element, weight)` pairs,
+    /// one sorted run per source, pair-merged in place and then swept by
+    /// `select_merged_weighted_spaced`.
+    pub(crate) pairs: Vec<(T, u64)>,
+    /// Start index of each source's run in `pairs`.
+    pub(crate) pair_starts: Vec<usize>,
+    /// Ping-pong and bounds scratch of the `pairs` run merge.
+    pub(crate) pair_merge: MergeScratch<(T, u64)>,
     /// Full-buffer metadata snapshot handed to the collapse policy.
     pub(crate) meta: Vec<BufferMeta>,
     /// Occupancy-by-level counts for the metrics gauges.
@@ -78,8 +79,9 @@ impl<T> Default for ScratchArena<T> {
             merge: MergeScratch::default(),
             concat: Vec::new(),
             select_out: Vec::new(),
-            select: SelectScratch::default(),
-            targets: Vec::new(),
+            pairs: Vec::new(),
+            pair_starts: Vec::new(),
+            pair_merge: MergeScratch::default(),
             meta: Vec::new(),
             occupancy: Vec::new(),
             slots: Vec::new(),

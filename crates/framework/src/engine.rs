@@ -18,16 +18,14 @@ use mrl_sampling::{rng_from_seed, BlockSampler, SketchRng};
 use crate::arena::ScratchArena;
 use crate::buffer::{Buffer, BufferState};
 use crate::kernels::{
-    chunked_kernels_enabled, select_merged_weighted_spaced, select_three_weighted_spaced,
-    select_two_weighted_spaced,
+    select_merged_weighted_spaced, select_three_weighted_spaced, select_two_weighted_spaced,
 };
 use crate::merge::{
-    collapse_first_target, collapse_targets_into, output_position, select_weighted,
-    select_weighted_with, total_mass, WeightedSource,
+    collapse_first_target, output_position, select_weighted, total_mass, WeightedSource,
 };
 use crate::policy::CollapsePolicy;
 use crate::radix::try_sort_fixed;
-use crate::runs::{merge_sorted_runs_with, run_merge_limit, RunTracker};
+use crate::runs::{merge_sorted_runs_with, RunTracker, RUN_MERGE_LIMIT};
 use crate::schedule::RateSchedule;
 use crate::spine::QuerySpine;
 use crate::stats::TreeStats;
@@ -221,7 +219,7 @@ where
             rate_schedule,
             sampler: BlockSampler::new(rate),
             filler: Vec::with_capacity(config.buffer_size),
-            filler_runs: RunTracker::new(run_merge_limit(config.buffer_size)),
+            filler_runs: RunTracker::new(RUN_MERGE_LIMIT),
             unsorted_mask: Vec::new(),
             fill_rate: rate,
             fill_level: 0,
@@ -1198,9 +1196,9 @@ where
     // raw fast path's strided gather stays in bounds because its last index
     // (first - 1)/w0 + (k - 1)·c < c·k = |concat| (and iterator adapters
     // cannot overrun regardless).
-    // alloc: recorder bookkeeping and the scalar-reference mode's source
-    // list run once per collapse (every k·2^level elements), amortised O(1)
-    // per element; everything else works inside the scratch arena.
+    // alloc: recorder bookkeeping runs once per collapse (every k·2^level
+    // elements), amortised O(1) per element; everything else works inside
+    // the scratch arena.
     fn perform_collapse(&mut self, slots: &[usize], output_level: u32) {
         let collapse_timer = self.metrics.timer(metrics::COLLAPSE_NS);
         let collapse_begin = self.journal.now_ns();
@@ -1233,9 +1231,8 @@ where
             false
         };
         // Collapse targets always form the arithmetic progression
-        // `first + j·w` (§3.2); the chunked paths below consume the
-        // progression parameters directly and never materialise a target
-        // vector.
+        // `first + j·w` (§3.2); every path below consumes the progression
+        // parameters directly and never materialises a target vector.
         let first = collapse_first_target(w, high);
         let k = self.config.buffer_size;
         let mut new_data = std::mem::take(&mut self.scratch.select_out);
@@ -1243,16 +1240,14 @@ where
         let equal_weights =
             slots.len() >= 2 && slots.iter().all(|&i| self.buffers[i].weight() == w0);
         let all_raw = slots.iter().all(|&i| self.slot_is_unsorted(i));
-        // The concat path serves two shapes: every input raw (one sort of
-        // the concatenation replaces the deferred per-buffer sorts plus
-        // the merge walk, in either kernel mode), and — with the chunked
-        // kernels on — any ≥ 3-way equal-weight collapse, where one
-        // concat sort beats the pair-merge materialisation even though
-        // the inputs are already sorted. Scalar mode keeps ≥ 3-way sorted
-        // collapses on the classic walk so the reference path stays
-        // exercised.
-        let concat_path =
-            equal_weights && (all_raw || (chunked_kernels_enabled() && slots.len() >= 3));
+        // The collapse takes one of four shapes, chosen from the slot
+        // count, the weights and the raw marks alone. The concat path
+        // serves equal weights when every input is raw (one sort of the
+        // concatenation replaces the deferred per-buffer sorts plus the
+        // merge walk) or when there are ≥ 3 inputs (one concat sort beats
+        // the pair-merge materialisation even though the inputs are
+        // already sorted).
+        let concat_path = equal_weights && (all_raw || slots.len() >= 3);
         if concat_path {
             // Equal weight `w0` everywhere: concatenate, sort once, and
             // index the evenly spaced targets directly. Position `t`
@@ -1308,7 +1303,7 @@ where
             // and three sources — together all but a sliver of the mixed
             // collapses the adaptive policy emits — walk the buffers in
             // place; only ≥ 4 sources pay the pair-merge materialisation.
-            if chunked_kernels_enabled() && slots.len() == 2 {
+            if slots.len() == 2 {
                 let (a, b) = (&self.buffers[slots[0]], &self.buffers[slots[1]]);
                 select_two_weighted_spaced(
                     a.data(),
@@ -1320,7 +1315,7 @@ where
                     k,
                     &mut new_data,
                 );
-            } else if chunked_kernels_enabled() && slots.len() == 3 {
+            } else if slots.len() == 3 {
                 let (a, b, c) = (
                     &self.buffers[slots[0]],
                     &self.buffers[slots[1]],
@@ -1338,10 +1333,11 @@ where
                     k,
                     &mut new_data,
                 );
-            } else if chunked_kernels_enabled() {
+            } else {
                 // ≥ 4 sources: pair-merge the buffers into one weighted
                 // run inside the arena, then one branchless sweep.
-                let (pairs, starts, pair_merge) = self.scratch.select.pair_parts_mut();
+                let pairs = &mut self.scratch.pairs;
+                let starts = &mut self.scratch.pair_starts;
                 pairs.clear();
                 starts.clear();
                 for &i in slots {
@@ -1350,20 +1346,8 @@ where
                     let w_i = b.weight();
                     pairs.extend(b.data().iter().map(|v| (v.clone(), w_i)));
                 }
-                merge_sorted_runs_with(pairs, starts, pair_merge);
+                merge_sorted_runs_with(pairs, starts, &mut self.scratch.pair_merge);
                 select_merged_weighted_spaced(pairs, first, w, k, &mut new_data);
-            } else {
-                // Scalar-reference mode (`scalar-kernels`): the classic
-                // walk over a per-collapse source list and a materialised
-                // target vector.
-                let mut targets = std::mem::take(&mut self.scratch.targets);
-                collapse_targets_into(k, w, high, &mut targets);
-                let sources: Vec<WeightedSource<'_, T>> = slots
-                    .iter()
-                    .map(|&i| WeightedSource::new(self.buffers[i].data(), self.buffers[i].weight()))
-                    .collect();
-                select_weighted_with(&sources, &targets, &mut new_data, &mut self.scratch.select);
-                self.scratch.targets = targets;
             }
         }
         if let Some(rec) = &mut self.recorder {
@@ -1401,14 +1385,12 @@ where
         if let Some(begin) = collapse_begin {
             let path = if concat_path {
                 CollapsePath::Concat
-            } else if chunked_kernels_enabled() && slots.len() == 2 {
-                CollapsePath::TwoSource
-            } else if chunked_kernels_enabled() && slots.len() == 3 {
-                CollapsePath::ThreeSource
-            } else if chunked_kernels_enabled() {
-                CollapsePath::PairMerge
             } else {
-                CollapsePath::Scalar
+                match slots.len() {
+                    2 => CollapsePath::TwoSource,
+                    3 => CollapsePath::ThreeSource,
+                    _ => CollapsePath::PairMerge,
+                }
             };
             let end = self.journal.now_ns().unwrap_or(begin);
             self.journal.record_at(

@@ -9,24 +9,20 @@
 //! restate each step so the data-dependent choice becomes a conditional
 //! move feeding an unconditional store:
 //!
-//! * [`merge_two`] — stable branchless merge, 4-wide unrolled main loop;
-//! * [`select_two_weighted`] — fused merge + weighted selection over two
-//!   sources, emitting via unconditional overwrite (`out[ti] = v; ti +=
-//!   hit`) instead of a taken-or-not push branch.
+//! * [`merge_two`] — stable branchless merge, 8-wide unrolled main loop;
+//! * [`select_two_weighted_spaced`] / [`select_three_weighted_spaced`] —
+//!   fused merge + weighted selection over two or three sources at the
+//!   evenly spaced collapse targets, emitting via unconditional overwrite
+//!   (`out[ti] = v; ti += hit`) instead of a taken-or-not push branch;
+//! * [`select_merged_weighted_spaced`] — the selection sweep over an
+//!   already pair-merged `(element, weight)` run (≥ 4-source collapses).
 //!
-//! Every kernel has a scalar reference twin (`*_scalar`) whose output is
-//! bitwise identical; the `scalar-kernels` cargo feature forces the
-//! reference implementations everywhere so equivalence proptests and
-//! differential debugging can pin down a kernel regression. `std::simd`
-//! remains nightly-only, so portable chunking is done with fixed-width
-//! manual unrolling, which the compiler autovectorises where profitable.
-
-/// True when the branchless/chunked kernels are in use; false when the
-/// `scalar-kernels` feature pins the scalar references.
-#[inline]
-pub fn chunked_kernels_enabled() -> bool {
-    cfg!(not(feature = "scalar-kernels"))
-}
+//! There is one implementation of each; the equivalence tests
+//! (`tests/kernel_equivalence.rs`) pin every kernel against naive oracles
+//! — the sorted concatenation and the expand-and-sort — on adversarial
+//! shapes. `std::simd` remains nightly-only, so portable chunking is done
+//! with fixed-width manual unrolling, which the compiler autovectorises
+//! where profitable.
 
 /// Width of the unrolled main loops. Eight merge steps touch at most
 /// 8 × 8 bytes per source for primitive elements — one cache line — so
@@ -34,31 +30,10 @@ pub fn chunked_kernels_enabled() -> bool {
 /// the loop body.
 const UNROLL: usize = 8;
 
-/// Stable two-pointer merge of sorted `a` and `b`, appended to `out`:
-/// the scalar reference for [`merge_two`].
-// panic-free: i < a.len() and j < b.len() guard every index; the tail
-// slices use the loop-exit values, which are ≤ the lengths.
-// alloc: out is the caller's reserved scratch; pushes stay in capacity.
-pub fn merge_two_scalar<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i].clone());
-            i += 1;
-        } else {
-            out.push(b[j].clone());
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-}
-
 /// Stable merge of sorted `a` and `b`, appended to `out` (ties favour
 /// `a`). Branchless: each step selects the next head with a conditional
 /// move and advances both cursors arithmetically, so throughput does not
-/// depend on how the inputs interleave. Identical output to
-/// [`merge_two_scalar`].
+/// depend on how the inputs interleave.
 // panic-free: the unrolled loop runs only while both sides have ≥ UNROLL
 // unconsumed elements (each step consumes exactly one from either side);
 // the remainder loop guards i/j individually, and the tails use the exit
@@ -67,9 +42,6 @@ pub fn merge_two_scalar<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
 // every push in capacity.
 pub fn merge_two<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
     use std::hint::select_unpredictable as sel;
-    if !chunked_kernels_enabled() {
-        return merge_two_scalar(a, b, out);
-    }
     out.reserve(a.len() + b.len());
     let (mut i, mut j) = (0usize, 0usize);
     while i + UNROLL <= a.len() && j + UNROLL <= b.len() {
@@ -90,113 +62,22 @@ pub fn merge_two<T: Ord + Clone>(a: &[T], b: &[T], out: &mut Vec<T>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// True when `targets` is compatible with the single-crossing selection
-/// kernels: strictly increasing with consecutive gaps of at least
-/// `max_step` (the largest weight any one merge step can add), so each
-/// merge step crosses at most one target and the kernels' `ti += hit`
-/// emission cannot fall behind. Collapse targets (spacing `w = Σwᵢ`,
-/// every step adding some `wᵢ < w`) always qualify.
-// panic-free: windows(2) yields exactly-two-element slices, so w[0]/w[1]
-// are in bounds; checked_sub rejects non-increasing pairs instead of
-// wrapping.
-pub fn targets_single_crossing(targets: &[u64], max_step: u64) -> bool {
-    targets.first().is_none_or(|&t| t >= 1)
-        && targets
-            .windows(2)
-            .all(|w| w[1].checked_sub(w[0]).is_some_and(|d| d >= max_step))
-}
-
-/// Select the elements at 1-indexed weighted positions `targets` of the
-/// weighted merge of two sorted sources (`a` with per-element weight `wa`,
-/// `b` with `wb`): the fused branchless form of the two-source dense
-/// selection walk, with identical output.
-///
-/// Requires [`targets_single_crossing`]`(targets, wa.max(wb))`; the caller
-/// (the dense dispatch in `select_weighted_with`) checks this and falls
-/// back to the scalar walk otherwise. `out` is cleared first.
+/// Select the elements at the **evenly spaced** 1-indexed weighted
+/// positions `first, first + spacing, …` (`count` of them) of the weighted
+/// merge of two sorted sources (`a` with per-element weight `wa`, `b` with
+/// `wb`): the collapse shape, where the spacing is the output weight `w`
+/// and `first` the §3.2 phase offset. `out` is cleared first.
 ///
 /// Each step overwrites `out[ti]` with the current head unconditionally
 /// and advances `ti` only when the accumulated mass crossed the next
 /// target — the emit decision becomes data flow instead of a mispredicted
-/// branch. The overwritten prefix is discarded by the final truncate.
-// panic-free: out is resized to targets.len() + 1 up front, and ti grows
-// by at most one per step while bounded by targets.len() (the loop
-// condition), so out[ti] and targets[ti] stay in range; the exhausted-
-// source tail indexes rest[(t - cum - 1) / w], in bounds because every
-// remaining target is ≤ the total mass cum + rest.len()·w.
-// out is the caller's reused scratch; the resize stays within the
-// capacity reserved by earlier collapses after the first.
-pub fn select_two_weighted<T: Ord + Clone>(
-    a: &[T],
-    wa: u64,
-    b: &[T],
-    wb: u64,
-    targets: &[u64],
-    out: &mut Vec<T>,
-) {
-    use std::hint::select_unpredictable as sel;
-    debug_assert!(targets_single_crossing(targets, wa.max(wb)));
-    out.clear();
-    if targets.is_empty() {
-        return;
-    }
-    // Two empty sources cannot carry the ≥ 1 mass the first target
-    // demands (targets are ≤ total mass), so the early return only fires
-    // on a violated contract — and then emitting nothing beats panicking.
-    let Some(seed) = a.first().or(b.first()).cloned() else {
-        return;
-    };
-    // One slot of slack so the unconditional store stays in bounds on the
-    // step that crosses the final target.
-    out.resize(targets.len() + 1, seed);
-    let (mut i, mut j) = (0usize, 0usize);
-    let mut cum: u64 = 0;
-    let mut ti = 0usize;
-    while ti + UNROLL <= targets.len() && i + UNROLL <= a.len() && j + UNROLL <= b.len() {
-        for _ in 0..UNROLL {
-            let take_a = a[i] <= b[j];
-            let v = sel(take_a, &a[i], &b[j]);
-            cum += sel(take_a, wa, wb);
-            out[ti] = v.clone();
-            ti += usize::from(targets[ti] <= cum);
-            i += take_a as usize;
-            j += usize::from(!take_a);
-        }
-    }
-    while ti < targets.len() && i < a.len() && j < b.len() {
-        let take_a = a[i] <= b[j];
-        let v = sel(take_a, &a[i], &b[j]);
-        cum += sel(take_a, wa, wb);
-        out[ti] = v.clone();
-        ti += usize::from(targets[ti] <= cum);
-        i += take_a as usize;
-        j += usize::from(!take_a);
-    }
-    // One source exhausted (or all targets just hit): the survivor is a
-    // single weighted run, so the remaining targets index it directly.
-    let (rest, w) = if i < a.len() {
-        (&a[i..], wa)
-    } else {
-        (&b[j..], wb)
-    };
-    while ti < targets.len() {
-        let offset = ((targets[ti] - cum - 1) / w) as usize;
-        out[ti] = rest[offset].clone();
-        ti += 1;
-    }
-    out.truncate(targets.len());
-}
-
-/// As [`select_two_weighted`] for **evenly spaced** targets `first,
-/// first + spacing, …` (`count` of them): the collapse shape, where the
-/// spacing is the output weight `w` and `first` the §3.2 phase offset.
-///
-/// Dropping the target vector removes the `targets[ti]` load from the
-/// emission dependency chain — the next-target bound lives in a register
-/// and advances by a masked add — and lets the exhausted-source tail run
-/// on strength-reduced index increments instead of one division per
-/// target. Requires `spacing ≥ wa.max(wb)` and `first ≥ 1` (collapse
-/// targets always qualify: spacing `w = Σwᵢ` > each `wᵢ`).
+/// branch; the overwritten prefix is discarded by the final truncate. The
+/// next-target bound lives in a register and advances by a masked add,
+/// and the exhausted-source tail runs on strength-reduced index
+/// increments instead of one division per target. Requires
+/// `spacing ≥ wa.max(wb)` (so each merge step crosses at most one target)
+/// and `first ≥ 1`; collapse targets always qualify: spacing `w = Σwᵢ` >
+/// each `wᵢ`.
 ///
 /// The main loop takes **two merge steps per iteration, speculatively**:
 /// both candidate heads for the second step are loaded before the first
@@ -336,7 +217,7 @@ fn select_two_spaced_core<T: Ord + Clone>(
 /// [`std::hint::select_unpredictable`] (a 3-wide tournament mispredicts
 /// on random merges just like the 2-way case), then advances exactly one
 /// source. Once any source is exhausted the survivors continue on
-/// [`select_two_spaced_core`] from the walk's accumulated state.
+/// `select_two_spaced_core` from the walk's accumulated state.
 /// Requires `first ≥ 1` and `spacing ≥ wa.max(wb).max(wc)` (collapse
 /// targets qualify: spacing `w = Σwᵢ` > each `wᵢ`).
 // panic-free: out is resized to count + 1 up front and ti advances at
@@ -443,70 +324,16 @@ pub fn select_three_weighted_spaced<T: Ord + Clone>(
     out.truncate(count);
 }
 
-/// Select the elements at 1-indexed weighted positions `targets` of an
-/// already merged sequence of `(element, weight)` pairs, under the same
-/// single-crossing contract as [`select_two_weighted`]. This is the final
-/// pass of the ≥ 3-source dense path: the sources are first pair-merged
-/// into one weighted run (`merge_sorted_runs` over `(T, u64)` tuples),
-/// then selected in one branchless sweep here.
-// panic-free: as select_two_weighted — out holds targets.len() + 1 slots,
-// ti advances at most once per pair and the loop stops at targets.len().
-// out is the caller's reused scratch (resize only, within capacity after
-// the first collapse).
-pub fn select_merged_weighted<T: Ord + Clone>(
-    pairs: &[(T, u64)],
-    targets: &[u64],
-    out: &mut Vec<T>,
-) {
-    out.clear();
-    if targets.is_empty() {
-        return;
-    }
-    let seed = match pairs.first() {
-        Some((v, _)) => v.clone(),
-        // Contract: targets ≤ total mass, so a non-empty target set
-        // implies a non-empty merge.
-        None => {
-            assert!(
-                targets.is_empty(),
-                "ran out of mass before all targets were selected"
-            );
-            return;
-        }
-    };
-    out.resize(targets.len() + 1, seed);
-    let mut cum: u64 = 0;
-    let mut ti = 0usize;
-    let mut pi = 0usize;
-    while ti + UNROLL <= targets.len() && pi + UNROLL <= pairs.len() {
-        for _ in 0..UNROLL {
-            let (v, w) = &pairs[pi];
-            cum += w;
-            out[ti] = v.clone();
-            ti += usize::from(targets[ti] <= cum);
-            pi += 1;
-        }
-    }
-    while ti < targets.len() && pi < pairs.len() {
-        let (v, w) = &pairs[pi];
-        cum += w;
-        out[ti] = v.clone();
-        ti += usize::from(targets[ti] <= cum);
-        pi += 1;
-    }
-    assert!(
-        ti == targets.len(),
-        "ran out of mass before all targets were selected"
-    );
-    out.truncate(targets.len());
-}
-
-/// As [`select_merged_weighted`] for evenly spaced targets `first,
-/// first + spacing, …` (`count` of them) — the ≥ 3-source collapse shape.
-/// The next-target bound advances by a masked register add instead of a
-/// `targets[ti]` load on the emission chain.
-// panic-free: as select_merged_weighted — out holds count + 1 slots and
-// ti advances at most once per pair while bounded by count.
+/// Select the elements at evenly spaced 1-indexed weighted positions
+/// `first, first + spacing, …` (`count` of them) of an already merged
+/// sequence of `(element, weight)` pairs. This is the final pass of the
+/// ≥ 4-source collapse: the sources are first pair-merged into one
+/// weighted run (`merge_sorted_runs_with` over `(T, u64)` tuples), then
+/// selected in one branchless sweep here. Requires `first ≥ 1` and
+/// `spacing` ≥ every pair weight, so each pair crosses at most one
+/// target. The next-target bound advances by a masked register add.
+// panic-free: out holds count + 1 slots and ti advances at most once per
+// pair while bounded by count; pairs[pi] is guarded by the loop bounds.
 // out is the caller's reused scratch (resize only, within capacity after
 // the first collapse).
 pub fn select_merged_weighted_spaced<T: Ord + Clone>(
@@ -565,9 +392,9 @@ pub fn select_merged_weighted_spaced<T: Ord + Clone>(
     out.truncate(count);
 }
 
-/// Minimum and maximum of `data` in one pass: the scalar reference for
-/// [`slice_min_max`].
-pub fn slice_min_max_scalar<T: Ord + Clone>(data: &[T]) -> Option<(T, T)> {
+/// Minimum and maximum of `data` in one pass: [`slice_min_max`]'s
+/// fallback for inputs too short to fill its lanes.
+fn slice_min_max_scalar<T: Ord + Clone>(data: &[T]) -> Option<(T, T)> {
     let (first, rest) = data.split_first()?;
     let mut lo = first.clone();
     let mut hi = first.clone();
@@ -588,11 +415,10 @@ pub fn slice_min_max_scalar<T: Ord + Clone>(data: &[T]) -> Option<(T, T)> {
 /// loop-carried dependency on a single accumulator, and for primitive
 /// element types the lane updates compile to vector min/max (the
 /// `min_max_u64`/`min_max_u32` instantiations are asm-checked in CI).
-/// Identical result to [`slice_min_max_scalar`]; `ExtremeValue` uses it
-/// to screen whole batches against the heap thresholds before touching
-/// the heaps.
+/// `ExtremeValue` uses it to screen whole batches against the heap
+/// thresholds before touching the heaps.
 pub fn slice_min_max<T: Ord + Clone>(data: &[T]) -> Option<(T, T)> {
-    if !chunked_kernels_enabled() || data.len() < UNROLL * 2 {
+    if data.len() < UNROLL * 2 {
         return slice_min_max_scalar(data);
     }
     let (first, rest) = data.split_first()?;
@@ -638,14 +464,35 @@ pub fn min_max_u32(data: &[u32]) -> Option<(u32, u32)> {
 mod tests {
     use super::*;
 
+    /// Oracle for [`merge_two`]: the sorted concatenation.
     fn merged_ref(a: &[u64], b: &[u64]) -> Vec<u64> {
-        let mut out = Vec::new();
-        merge_two_scalar(a, b, &mut out);
+        let mut out: Vec<u64> = a.iter().chain(b).copied().collect();
+        out.sort_unstable();
         out
     }
 
+    /// Oracle for the selection kernels: expand every element `weight`
+    /// times, sort, and read the evenly spaced 1-indexed positions.
+    fn expand_select(
+        sources: &[(&[u64], u64)],
+        first: u64,
+        spacing: u64,
+        count: usize,
+    ) -> Vec<u64> {
+        let mut flat = Vec::new();
+        for &(data, w) in sources {
+            for &v in data {
+                flat.extend(std::iter::repeat_n(v, w as usize));
+            }
+        }
+        flat.sort_unstable();
+        (0..count as u64)
+            .map(|j| flat[(first + j * spacing - 1) as usize])
+            .collect()
+    }
+
     #[test]
-    fn branchless_merge_matches_scalar_on_adversarial_shapes() {
+    fn branchless_merge_matches_sorted_concat_on_adversarial_shapes() {
         let shapes: Vec<(Vec<u64>, Vec<u64>)> = vec![
             (vec![], vec![]),
             (vec![1], vec![]),
@@ -666,52 +513,61 @@ mod tests {
         }
     }
 
+    /// Ordered by `key` alone, so `Ord`-equal elements stay
+    /// distinguishable by `tag`.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Keyed {
+        key: u64,
+        tag: u8,
+    }
+
+    impl PartialOrd for Keyed {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Keyed {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key.cmp(&other.key)
+        }
+    }
+
     #[test]
     fn merge_is_stable_for_tied_keys() {
-        // Tuples ordered by the first field only would need Ord overrides;
-        // instead check stability with (key, tag) pairs whose Ord is
-        // lexicographic but where all ties share a key prefix.
-        let a = vec![(5u64, 0u8), (5, 1)];
-        let b = vec![(5u64, 2u8)];
+        // Long enough for the unrolled loop: a's tied elements must come
+        // out ahead of b's, each side in its own order.
+        let keyed = |keys: &[u64], tag: u8| -> Vec<Keyed> {
+            keys.iter().map(|&key| Keyed { key, tag }).collect()
+        };
+        let a = keyed(&[1, 5, 5, 5, 5, 5, 5, 5, 5, 9], 0);
+        let b = keyed(&[5, 5, 5, 5, 5, 5, 5, 5, 5, 6], 1);
         let mut out = Vec::new();
         merge_two(&a, &b, &mut out);
-        // a's elements sort before b's tied element here because the tag
-        // participates in Ord; what matters is agreement with the scalar.
-        let mut reference = Vec::new();
-        merge_two_scalar(&a, &b, &mut reference);
-        assert_eq!(out, reference);
+        let got: Vec<(u64, u8)> = out.iter().map(|k| (k.key, k.tag)).collect();
+        let mut expect = vec![(1, 0)];
+        expect.extend([(5, 0); 8]);
+        expect.extend([(5, 1); 9]);
+        expect.extend([(6, 1), (9, 0)]);
+        assert_eq!(got, expect);
     }
 
     #[test]
-    fn single_crossing_check() {
-        assert!(targets_single_crossing(&[2, 6, 10], 4));
-        assert!(!targets_single_crossing(&[2, 5, 10], 4));
-        assert!(!targets_single_crossing(&[0, 4], 4));
-        assert!(targets_single_crossing(&[], 9));
-        assert!(targets_single_crossing(&[7], 100));
-    }
-
-    #[test]
-    fn select_two_matches_walk_on_skewed_weights() {
+    fn select_two_spaced_matches_oracle_on_skewed_weights() {
         let a: Vec<u64> = (0..64).map(|i| i * 3).collect();
         let b: Vec<u64> = (0..64).map(|i| i * 5 + 1).collect();
         for (wa, wb) in [(1u64, 1u64), (7, 1), (1, 7), (1000, 3)] {
             let w = wa + wb;
-            let targets: Vec<u64> = (0..64u64).map(|j| j * (64 * w / 64) + w / 2 + 1).collect();
-            assert!(targets_single_crossing(&targets, wa.max(wb)));
+            let first = w / 2 + 1;
             let mut out = Vec::new();
-            select_two_weighted(&a, wa, &b, wb, &targets, &mut out);
-            let sources = [
-                crate::merge::WeightedSource::new(&a, wa),
-                crate::merge::WeightedSource::new(&b, wb),
-            ];
-            let reference = crate::merge::select_weighted(&sources, &targets);
+            select_two_weighted_spaced(&a, wa, &b, wb, first, w, 64, &mut out);
+            let reference = expand_select(&[(&a, wa), (&b, wb)], first, w, 64);
             assert_eq!(out, reference, "wa={wa} wb={wb}");
         }
     }
 
     #[test]
-    fn spaced_select_matches_target_vector_kernels() {
+    fn spaced_select_matches_oracle() {
         // Collapse-shaped progressions: spacing = total weight, varying
         // phase offsets, sources of unequal length so one exhausts early
         // and the strength-reduced tail runs.
@@ -726,10 +582,7 @@ mod tests {
             let mass = wa * a.len() as u64 + wb * b.len() as u64;
             for first in [spacing / 2 + 1, spacing.div_ceil(2), 1, spacing] {
                 let count = ((mass - first) / spacing + 1) as usize;
-                let targets: Vec<u64> = (0..count as u64).map(|j| first + j * spacing).collect();
-                assert!(targets_single_crossing(&targets, wa.max(wb)));
-                let mut reference = Vec::new();
-                select_two_weighted(&a, wa, &b, wb, &targets, &mut reference);
+                let reference = expand_select(&[(&a, wa), (&b, wb)], first, spacing, count);
                 let mut out = Vec::new();
                 select_two_weighted_spaced(&a, wa, &b, wb, first, spacing, count, &mut out);
                 assert_eq!(out, reference, "two-source wa={wa} wb={wb} first={first}");
@@ -740,12 +593,10 @@ mod tests {
                     .chain(b.iter().map(|&v| (v, wb)))
                     .collect();
                 pairs.sort_by_key(|&(v, _)| v);
-                let mut merged_ref = Vec::new();
-                select_merged_weighted(&pairs, &targets, &mut merged_ref);
                 let mut merged_out = Vec::new();
                 select_merged_weighted_spaced(&pairs, first, spacing, count, &mut merged_out);
                 assert_eq!(
-                    merged_out, merged_ref,
+                    merged_out, reference,
                     "merged wa={wa} wb={wb} first={first}"
                 );
             }
@@ -764,16 +615,12 @@ mod tests {
     }
 
     #[test]
-    fn min_max_matches_scalar_on_all_lengths() {
+    fn min_max_matches_iterator_oracle_on_all_lengths() {
         for n in 0..64usize {
             let v: Vec<u64> = (0..n as u64).map(|i| (i * 2654435761) % 97).collect();
-            assert_eq!(slice_min_max(&v), slice_min_max_scalar(&v), "n={n}");
-            if n > 0 {
-                let expect = (*v.iter().min().unwrap_or(&0), *v.iter().max().unwrap_or(&0));
-                assert_eq!(slice_min_max(&v), Some(expect));
-            }
+            let expect = v.iter().min().copied().zip(v.iter().max().copied());
+            assert_eq!(slice_min_max(&v), expect, "n={n}");
         }
-        assert_eq!(slice_min_max::<u64>(&[]), None);
         assert_eq!(min_max_u64(&[9, 2, 7]), Some((2, 9)));
         assert_eq!(min_max_u32(&[5]), Some((5, 5)));
         // Non-Copy element type exercises the clone-based lanes.
@@ -792,18 +639,15 @@ mod tests {
     #[test]
     fn select_merged_matches_brute_force() {
         let pairs: Vec<(u64, u64)> = vec![(1, 3), (2, 1), (4, 5), (9, 2), (9, 2)];
-        let mass: u64 = pairs.iter().map(|(_, w)| w).sum();
         let mut flat = Vec::new();
         for (v, w) in &pairs {
             for _ in 0..*w {
                 flat.push(*v);
             }
         }
-        let targets: Vec<u64> = vec![1, 7, mass];
-        assert!(targets_single_crossing(&targets, 5));
+        // Positions 1, 7, 13 = the whole mass; spacing 6 ≥ every weight.
         let mut out = Vec::new();
-        select_merged_weighted(&pairs, &targets, &mut out);
-        let reference: Vec<u64> = targets.iter().map(|&t| flat[(t - 1) as usize]).collect();
-        assert_eq!(out, reference);
+        select_merged_weighted_spaced(&pairs, 1, 6, 3, &mut out);
+        assert_eq!(out, vec![flat[0], flat[6], flat[12]]);
     }
 }

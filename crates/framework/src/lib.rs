@@ -52,11 +52,8 @@ pub use cdf::CdfPoint;
 pub use engine::{Engine, EngineConfig};
 #[cfg(feature = "invariant-audit")]
 pub use invariant::CertifiedSchedule;
-pub use kernels::{slice_min_max, slice_min_max_scalar};
-pub use merge::{
-    collapse_targets, output_position, select_weighted, select_weighted_into, select_weighted_with,
-    total_mass, SelectScratch, WeightedSource,
-};
+pub use kernels::slice_min_max;
+pub use merge::{collapse_targets, output_position, select_weighted, total_mass, WeightedSource};
 pub use policy::{
     AdaptiveLowestLevel, AlsabtiRankaSingh, CollapseDecision, CollapsePolicy, MunroPaterson,
 };
@@ -64,7 +61,7 @@ pub use radix::{
     sort_fixed, try_sort_fixed, FixedWidthKey, RadixScratch, RADIX_MAX_LEN, RADIX_MIN_LEN,
 };
 pub use runs::{
-    merge_sorted_runs, merge_sorted_runs_with, run_merge_limit, MergeScratch, RunTracker,
+    merge_sorted_runs, merge_sorted_runs_with, MergeScratch, RunTracker, RUN_MERGE_LIMIT,
 };
 pub use schedule::{FixedRate, LeafCountSchedule, Mrl99Schedule, RateSchedule};
 pub use snapshot::{BufferSnapshot, EngineSnapshot};

@@ -5,20 +5,20 @@
 //! sort everything together, and pick elements at certain positions of the
 //! combined sequence. As the paper notes, the copies never need to be
 //! materialised. Instead of a heap-based k-way merge that visits (and
-//! clones) every element, the selection here advances in **runs**: at each
-//! step it finds the source with the smallest head, uses binary search
-//! against the other heads to determine the maximal run of consecutive
-//! merge output that source contributes, and then indexes any selection
-//! targets falling inside the run directly — cloning only the selected
-//! elements. With `c` sources and `t` targets this is
-//! `O((R + t)·c log k)` where `R ≤ Σ|Xᵢ|` is the number of runs, and in the
-//! common cases (few sources interleaving coarsely, or few targets) runs
-//! are long and the merge skips nearly all of the input.
-
-use crate::kernels::{
-    chunked_kernels_enabled, select_merged_weighted, select_two_weighted, targets_single_crossing,
-};
-use crate::runs::{merge_sorted_runs_with, MergeScratch};
+//! clones) every element, [`select_weighted`] advances in **runs**: at each
+//! step it finds the source with the smallest head, gallops against the
+//! runner-up's head to determine the maximal run of consecutive merge
+//! output that source contributes, and then indexes any selection targets
+//! falling inside the run directly — cloning only the selected elements.
+//! With `c` sources and `t` targets this is `O((R + t)·c log k)` where
+//! `R ≤ Σ|Xᵢ|` is the number of runs, and in the common cases (few
+//! sources interleaving coarsely, or few targets) runs are long and the
+//! merge skips nearly all of the input.
+//!
+//! The engine's own collapses never come here: their targets are an
+//! arithmetic progression, which the spaced kernels in
+//! [`crate::kernels`] consume directly. This walk serves `Output` and the
+//! §6 coordinator.
 
 /// One sorted input to a weighted merge: a slice of non-decreasing elements,
 /// each representing `weight` input elements.
@@ -62,99 +62,19 @@ pub fn total_mass<T>(sources: &[WeightedSource<'_, T>]) -> u64 {
 /// # Panics
 /// Panics if `targets` is not sorted, a target is zero, or a target exceeds
 /// the total mass.
+// panic-free: the entry asserts are the documented precondition contract
+// (see # Panics); past them every index is invariant-protected — pos[i] <
+// data.len() loop guards, run offsets bounded by run_mass, windows(2)
+// slices are exactly length 2.
+// arith: cum accumulates source masses and never exceeds `mass`, itself a
+// u64 computed saturating; run_mass ≤ mass for the same reason.
 pub fn select_weighted<T: Ord + Clone>(
     sources: &[WeightedSource<'_, T>],
     targets: &[u64],
 ) -> Vec<T> {
     let mut out = Vec::with_capacity(targets.len());
-    select_weighted_into(sources, targets, &mut out);
-    out
-}
-
-/// Reusable storage for [`select_weighted_with`]: the multi-source walk
-/// positions plus the `(element, weight)` pair buffers of the chunked
-/// ≥ 3-source dense path. Capacity persists across calls, so a warm
-/// scratch makes selection allocation-free.
-#[derive(Clone, Debug)]
-pub struct SelectScratch<T> {
-    pos: Vec<usize>,
-    pairs: Vec<(T, u64)>,
-    starts: Vec<usize>,
-    pair_merge: MergeScratch<(T, u64)>,
-}
-
-// Manual impl: the derive would demand `T: Default`, which empty vectors
-// do not need.
-impl<T> Default for SelectScratch<T> {
-    fn default() -> Self {
-        Self {
-            pos: Vec::new(),
-            pairs: Vec::new(),
-            starts: Vec::new(),
-            pair_merge: MergeScratch::default(),
-        }
-    }
-}
-
-/// The split borrows of [`SelectScratch::pair_parts_mut`]: pair buffer,
-/// run starts, and the pair-merge scratch.
-pub(crate) type PairParts<'a, T> = (
-    &'a mut Vec<(T, u64)>,
-    &'a mut Vec<usize>,
-    &'a mut MergeScratch<(T, u64)>,
-);
-
-impl<T> SelectScratch<T> {
-    /// Split into the pair buffer, its run starts, and the pair-merge
-    /// scratch — the pieces of the ≥ 3-source chunked dense path. Exposed
-    /// so the engine can build the pair runs straight from its buffers
-    /// without materialising a per-collapse source list.
-    pub(crate) fn pair_parts_mut(&mut self) -> PairParts<'_, T> {
-        (&mut self.pairs, &mut self.starts, &mut self.pair_merge)
-    }
-}
-
-/// As [`select_weighted`], writing the selected elements into `out`
-/// (cleared first). Convenience wrapper over [`select_weighted_with`]
-/// with throwaway scratch — hot paths thread a persistent
-/// [`SelectScratch`] instead.
-pub fn select_weighted_into<T: Ord + Clone>(
-    sources: &[WeightedSource<'_, T>],
-    targets: &[u64],
-    out: &mut Vec<T>,
-) {
-    let mut scratch = SelectScratch::default();
-    select_weighted_with(sources, targets, out, &mut scratch);
-}
-
-/// As [`select_weighted`], writing the selected elements into `out`
-/// (cleared first) and working entirely inside `scratch`. Lets hot paths
-/// — one collapse per filled buffer — reuse every allocation across
-/// calls.
-///
-/// Dense target sets whose spacing satisfies the single-crossing contract
-/// dispatch to the branchless kernels ([`select_two_weighted`] /
-/// [`select_merged_weighted`]); the scalar walks below remain both the
-/// fallback and the bitwise reference (forced by the `scalar-kernels`
-/// feature).
-// panic-free: the entry asserts are the documented precondition contract
-// (see # Panics on select_weighted); past them every index is invariant-
-// protected — pos[i] < data.len() loop guards, run offsets bounded by
-// run_mass, windows(2) slices are exactly length 2.
-// arith: cum accumulates source masses and never exceeds `mass`, itself a
-// u64 computed saturating; run_mass ≤ mass for the same reason.
-// alloc: out and the scratch vectors are the caller's reused storage
-// (capacity persists across collapses); pushes stay within it after the
-// first call.
-pub fn select_weighted_with<T: Ord + Clone>(
-    sources: &[WeightedSource<'_, T>],
-    targets: &[u64],
-    out: &mut Vec<T>,
-    scratch: &mut SelectScratch<T>,
-) {
-    out.clear();
     let (Some(&first), Some(&last)) = (targets.first(), targets.last()) else {
-        return;
+        return out;
     };
     let mass = total_mass(sources);
     assert!(
@@ -171,109 +91,13 @@ pub fn select_weighted_with<T: Ord + Clone>(
                 .iter()
                 .map(|&t| s.data[((t - 1) / s.weight) as usize].clone()),
         );
-        return;
-    }
-
-    // Dense targets (the Collapse shape: k targets over c·k elements) take
-    // a fused c-way walk that selects during the merge: galloping cannot
-    // skip anything when the sources interleave at ~1-element runs, and
-    // materialising the merge pays allocation plus a second pass. One head
-    // scan and one weight addition per merge step, nothing else.
-    let total_elems: usize = sources.iter().map(|s| s.data.len()).sum();
-    if targets.len() >= total_elems / 8 {
-        let max_w = sources.iter().map(|s| s.weight).max().unwrap_or(1);
-        if chunked_kernels_enabled() && targets_single_crossing(targets, max_w) {
-            if let [a, b] = sources {
-                select_two_weighted(a.data, a.weight, b.data, b.weight, targets, out);
-                return;
-            }
-            // ≥ 3 sources: pair-merge into one weighted run, then one
-            // branchless selection sweep. Visits each element twice but
-            // with no per-step head scan and no unpredictable emission.
-            let (pairs, starts, pair_merge) = scratch.pair_parts_mut();
-            pairs.clear();
-            starts.clear();
-            for s in sources {
-                starts.push(pairs.len());
-                pairs.extend(s.data.iter().map(|v| (v.clone(), s.weight)));
-            }
-            merge_sorted_runs_with(pairs, starts, pair_merge);
-            select_merged_weighted(pairs, targets, out);
-            return;
-        }
-        if sources.len() == 2 {
-            // Two sources dominate adaptive collapse trees; a dedicated
-            // two-pointer walk keeps both heads hot and lets the compiler
-            // emit conditional moves for the unpredictable comparison.
-            let (a, b) = (&sources[0], &sources[1]);
-            let (wa, wb) = (a.weight, b.weight);
-            let (mut i, mut j) = (0usize, 0usize);
-            let mut cum: u64 = 0;
-            let mut ti = 0usize;
-            while i < a.data.len() && j < b.data.len() {
-                let take_a = a.data[i] <= b.data[j];
-                let (v, w) = if take_a {
-                    (&a.data[i], wa)
-                } else {
-                    (&b.data[j], wb)
-                };
-                cum += w;
-                while ti < targets.len() && targets[ti] <= cum {
-                    out.push(v.clone());
-                    ti += 1;
-                }
-                i += take_a as usize;
-                j += usize::from(!take_a);
-                if ti == targets.len() {
-                    return;
-                }
-            }
-            // One source exhausted: the survivor is a single weighted run,
-            // so remaining targets index it directly.
-            let (rest, w) = if i < a.data.len() {
-                (&a.data[i..], wa)
-            } else {
-                (&b.data[j..], wb)
-            };
-            while ti < targets.len() {
-                let offset = ((targets[ti] - cum - 1) / w) as usize;
-                out.push(rest[offset].clone());
-                ti += 1;
-            }
-            return;
-        }
-        let pos = &mut scratch.pos;
-        pos.clear();
-        pos.resize(sources.len(), 0);
-        let mut cum: u64 = 0;
-        let mut ti = 0usize;
-        while ti < targets.len() {
-            let mut j = usize::MAX;
-            for (i, s) in sources.iter().enumerate() {
-                if pos[i] < s.data.len()
-                    && (j == usize::MAX || s.data[pos[i]] < sources[j].data[pos[j]])
-                {
-                    j = i;
-                }
-            }
-            assert!(j != usize::MAX, "ran out of mass before all targets");
-            let s = &sources[j];
-            cum += s.weight;
-            while ti < targets.len() && targets[ti] <= cum {
-                out.push(s.data[pos[j]].clone());
-                ti += 1;
-            }
-            pos[j] += 1;
-        }
-        return;
+        return out;
     }
 
     // pos[i]: first unconsumed index of sources[i]. Ties between sources
     // are broken by source index (the lower index merges first), matching
     // the ordering a (value, source, position) heap would produce.
-    let pos = &mut scratch.pos;
-    pos.clear();
-    pos.resize(sources.len(), 0);
+    let mut pos = vec![0usize; sources.len()];
     let mut cum: u64 = 0;
     let mut ti = 0usize;
     while ti < targets.len() {
@@ -324,6 +148,7 @@ pub fn select_weighted_with<T: Ord + Clone>(
         cum += run_mass;
         pos[j] += run;
     }
+    out
 }
 
 /// First index of `sub` where `pred` fails (`sub` is partitioned: all
@@ -356,17 +181,8 @@ fn gallop_limit<T>(sub: &[T], pred: impl Fn(&T) -> bool) -> usize {
 ///   phase); the caller alternates `high` between successive even-weight
 ///   collapses so the ±½ rounding bias cancels.
 pub fn collapse_targets(k: usize, w: u64, high: bool) -> Vec<u64> {
-    let mut out = Vec::with_capacity(k);
-    collapse_targets_into(k, w, high, &mut out);
-    out
-}
-
-/// As [`collapse_targets`], writing into `out` (cleared first) so the
-/// engine can reuse one scratch vector across collapses.
-pub fn collapse_targets_into(k: usize, w: u64, high: bool, out: &mut Vec<u64>) {
     let offset = collapse_first_target(w, high);
-    out.clear();
-    out.extend((0..k as u64).map(|j| j * w + offset));
+    (0..k as u64).map(|j| j * w + offset).collect()
 }
 
 /// The first selection position of a `Collapse` with output weight `w`
@@ -508,32 +324,6 @@ mod tests {
             select_weighted(&sources, &targets),
             select_brute(&sources, &targets)
         );
-    }
-
-    #[test]
-    fn select_into_reuses_the_output_vector() {
-        let a = vec![1, 2, 3];
-        let sources = [WeightedSource::new(&a, 2)];
-        let mut out = Vec::with_capacity(8);
-        select_weighted_into(&sources, &[1, 4], &mut out);
-        assert_eq!(out, vec![1, 2]);
-        select_weighted_into(&sources, &[6], &mut out);
-        assert_eq!(out, vec![3]);
-        select_weighted_into(&sources, &[], &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn collapse_targets_into_matches_allocating_form() {
-        let mut scratch = Vec::new();
-        for k in [1usize, 3, 7] {
-            for w in [1u64, 2, 5, 8] {
-                for high in [false, true] {
-                    collapse_targets_into(k, w, high, &mut scratch);
-                    assert_eq!(scratch, collapse_targets(k, w, high));
-                }
-            }
-        }
     }
 
     #[test]

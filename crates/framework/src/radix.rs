@@ -143,7 +143,7 @@ impl<T> Default for RadixScratch<T> {
 /// The MSD bucket path (below) moved the lower crossover back down:
 /// measured on the CI host, one bucket scatter plus insertion repair
 /// beats `sort_unstable` from n≈64 (n=256: ~5 vs ~9 ns/elem) up to
-/// [`BUCKET_MAX_LEN`], above which the LSD passes take over.
+/// `BUCKET_MAX_LEN`, above which the LSD passes take over.
 pub const RADIX_MIN_LEN: usize = 64;
 
 /// Maximum slice length routed to the radix kernel. Above ~8K elements
@@ -174,12 +174,12 @@ const BUCKET_MAX_COUNT: u32 = 64;
 ///
 /// One priming pass computes the bitwise OR and AND of every key, which
 /// identifies the bit columns that actually vary. Slices up to
-/// [`BUCKET_MAX_LEN`] then try the MSD bucket path: one scatter by the
+/// `BUCKET_MAX_LEN` then try the MSD bucket path: one scatter by the
 /// 8-bit digit anchored at the highest varying bit (everything above it
 /// is constant, so that digit alone orders the buckets), followed by an
 /// insertion repair whose cost is exactly the surviving within-bucket
 /// inversions — near-linear when keys spread across the buckets, which
-/// the [`BUCKET_MAX_COUNT`] guard enforces before committing.
+/// the `BUCKET_MAX_COUNT` guard enforces before committing.
 ///
 /// Longer or guard-rejected slices fall back to LSD radix over 8-bit
 /// digits: each varying byte column costs one counting-scatter pass
@@ -378,9 +378,9 @@ fn scatter_count<K: FixedWidthKey>(
     }
 }
 
-/// Radix-sort `data` if `T` is a fixed-width key type, the chunked
-/// kernels are enabled (`scalar-kernels` off) and the slice length falls
-/// inside the measured win window `[RADIX_MIN_LEN, RADIX_MAX_LEN]`.
+/// Radix-sort `data` if `T` is a fixed-width key type and the slice
+/// length falls inside the measured win window
+/// `[RADIX_MIN_LEN, RADIX_MAX_LEN]`.
 /// Returns `true` when the data was sorted; on `false` the caller owes
 /// the comparison fallback (`sort_unstable`).
 ///
@@ -390,10 +390,7 @@ fn scatter_count<K: FixedWidthKey>(
 // concrete `Vec<$ty>` type, and a slice's TypeId would never match.
 #[allow(clippy::ptr_arg)]
 pub fn try_sort_fixed<T: Ord + 'static>(data: &mut Vec<T>, scratch: &mut RadixScratch<T>) -> bool {
-    if !crate::kernels::chunked_kernels_enabled()
-        || data.len() < RADIX_MIN_LEN
-        || data.len() > RADIX_MAX_LEN
-    {
+    if data.len() < RADIX_MIN_LEN || data.len() > RADIX_MAX_LEN {
         return false;
     }
     macro_rules! try_key {
@@ -540,12 +537,9 @@ mod tests {
     fn dispatch_sorts_fixed_width_and_declines_otherwise() {
         let mut ints: Vec<u64> = (0..RADIX_MIN_LEN as u64).rev().collect();
         let mut scratch = RadixScratch::default();
-        // Under scalar-kernels the dispatch declines everything by design.
-        let sorted = try_sort_fixed(&mut ints, &mut scratch);
-        assert_eq!(sorted, crate::kernels::chunked_kernels_enabled());
-        if sorted {
-            assert!(ints.is_sorted());
-        }
+        // In the window, every fixed-width slice is sorted.
+        assert!(try_sort_fixed(&mut ints, &mut scratch));
+        assert!(ints.is_sorted());
 
         // Below the crossover: declined, caller falls back.
         let mut small: Vec<u64> = vec![3, 1, 2];

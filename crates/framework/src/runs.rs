@@ -98,25 +98,11 @@ impl RunTracker {
     }
 
     /// Sort `data` in place using whatever structure was tracked: nothing
-    /// for a single run, a bottom-up run merge below saturation, and
-    /// `sort_unstable` past it. `scratch` holds the merge's ping-pong
-    /// buffer and bounds vectors, all of which keep their allocations
-    /// across calls — a seal allocates nothing once the scratch is warm.
-    pub fn sort_data_with<T: Ord + Clone>(&self, data: &mut Vec<T>, scratch: &mut MergeScratch<T>) {
-        if self.is_single_run() {
-            return;
-        }
-        if self.is_saturated() {
-            data.sort_unstable();
-        } else {
-            merge_sorted_runs_with(data, &self.starts, scratch);
-        }
-    }
-
-    /// As [`sort_data_with`](Self::sort_data_with), additionally routing
-    /// the saturated-tracker sort through the radix kernel when the
-    /// element type is fixed-width. The engine's seal path threads both
-    /// scratches from its arena.
+    /// for a single run, a bottom-up run merge below saturation, and past
+    /// it the radix kernel when the element type is fixed-width (else
+    /// `sort_unstable`). The engine's seal path threads both scratches
+    /// from its arena; they keep their allocations across calls, so a
+    /// seal allocates nothing once they are warm.
     pub fn sort_data_with_radix<T: Ord + Clone + 'static>(
         &self,
         data: &mut Vec<T>,
@@ -135,8 +121,9 @@ impl RunTracker {
         }
     }
 
-    /// As [`sort_data_with`](Self::sort_data_with) with only the ping-pong
-    /// buffer retained by the caller. Convenience for cold paths (queries,
+    /// As [`sort_data_with_radix`](Self::sort_data_with_radix) without the
+    /// radix route and with only the ping-pong buffer retained by the
+    /// caller. Convenience for cold paths (queries,
     /// tests); the engine's seal path threads a full [`MergeScratch`].
     pub fn sort_data<T: Ord + Clone>(&self, data: &mut Vec<T>, scratch: &mut Vec<T>) {
         if self.is_single_run() {
@@ -173,7 +160,7 @@ impl<T> Default for MergeScratch<T> {
     }
 }
 
-/// The saturation limit for a buffer of `k` elements: past this many
+/// The run-tracker saturation limit, whatever the buffer size `k`: past this many
 /// runs, the bottom-up merge stops beating one `sort_unstable` over the
 /// whole buffer. The `seal_crossover` bench group
 /// (`crates/bench/benches/collapse.rs`) puts the crossover at r ≈ 4–8
@@ -182,9 +169,7 @@ impl<T> Default for MergeScratch<T> {
 /// doubling of r — so the limit is a small constant, not a fraction of
 /// k. At r ≤ 4 the merge wins (or ties within noise) in every measured
 /// cell; by r = 8 it loses at every k.
-pub fn run_merge_limit(_k: usize) -> usize {
-    4
-}
+pub const RUN_MERGE_LIMIT: usize = 4;
 
 /// Merge the sorted runs of `data` (delimited by `run_starts`, which must
 /// begin with 0) into fully sorted order, in place, using `scratch` as the
@@ -346,14 +331,5 @@ mod tests {
         assert!(t.is_single_run());
         t.rebuild(&[1u64, 2, 0, 5]);
         assert_eq!(t.starts(), &[0, 2]);
-    }
-
-    #[test]
-    fn run_merge_limit_is_the_measured_crossover() {
-        // Pinned by the seal_crossover bench group: the run merge stops
-        // beating sort_unstable past ~4 runs at every measured k.
-        for k in [8, 256, 1024, 4096] {
-            assert_eq!(run_merge_limit(k), 4);
-        }
     }
 }

@@ -3,9 +3,8 @@
 //! reversed, all-equal, and narrow-alphabet shapes, plus the f64
 //! total-order edge cases (negative zero, subnormals, ±infinity) — the
 //! radix sort must be bitwise identical to `sort_unstable` for every
-//! `FixedWidthKey` type. The suite runs under both feature configs: the
-//! default exercises the radix path end to end, and `--features
-//! scalar-kernels` pins the dispatch-declined fallback.
+//! `FixedWidthKey` type, and the dispatcher must take every in-window
+//! fixed-width slice and decline everything outside the window.
 
 use mrl_framework::{
     sort_fixed, try_sort_fixed, OrderedF64, RadixScratch, RADIX_MAX_LEN, RADIX_MIN_LEN,
@@ -161,7 +160,7 @@ proptest! {
     }
 
     #[test]
-    fn dispatch_sorts_iff_kernels_enabled(
+    fn dispatch_sorts_every_in_window_fixed_width_slice(
         raw in proptest::collection::vec(any::<u64>(), RADIX_MIN_LEN..3 * RADIX_MIN_LEN),
         pattern in any::<u8>(),
     ) {
@@ -169,14 +168,10 @@ proptest! {
         let mut expect = data.clone();
         expect.sort_unstable();
         let mut scratch = RadixScratch::default();
-        let sorted = try_sort_fixed(&mut data, &mut scratch);
-        // Above the crossover the dispatcher accepts fixed-width keys
-        // exactly when the chunked kernels are enabled; either way the
-        // caller-visible contract is "sorted == true implies sorted data".
-        prop_assert_eq!(sorted, mrl_framework::kernels::chunked_kernels_enabled());
-        if sorted {
-            prop_assert_eq!(data, expect);
-        }
+        // Inside the win window the dispatcher accepts every fixed-width
+        // key slice, and the result is the comparison sort's.
+        prop_assert!(try_sort_fixed(&mut data, &mut scratch));
+        prop_assert_eq!(data, expect);
     }
 
     #[test]

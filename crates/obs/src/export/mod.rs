@@ -43,7 +43,7 @@ pub fn panic_report() -> String {
 
 /// Register `journal` for dump-on-panic and (once per process) chain a
 /// panic hook that drains every registered journal's last
-/// [`PANIC_REPORT_EVENTS`] events to stderr before the previous hook
+/// `PANIC_REPORT_EVENTS` events to stderr before the previous hook
 /// runs its report. An invariant-audit failure therefore ships the
 /// lifecycle events that led up to it.
 pub fn install_panic_hook(journal: &Arc<EventJournal>) {

@@ -98,8 +98,6 @@ pub enum CollapsePath {
     ThreeSource = 2,
     /// ≥ 4 sources: pairwise merge tree.
     PairMerge = 3,
-    /// Scalar reference walk (mixed weights, generic `T`).
-    Scalar = 4,
 }
 
 impl CollapsePath {
@@ -109,7 +107,6 @@ impl CollapsePath {
             1 => Some(Self::TwoSource),
             2 => Some(Self::ThreeSource),
             3 => Some(Self::PairMerge),
-            4 => Some(Self::Scalar),
             _ => None,
         }
     }
@@ -411,7 +408,7 @@ pub struct JournalDump {
     /// Per-ring dumps, in ring-index order; unclaimed rings are absent.
     pub rings: Vec<RingDump>,
     /// Events discarded because every ring was claimed by other
-    /// threads (more than [`RINGS`] concurrent recording threads).
+    /// threads (more than `RINGS` concurrent recording threads).
     pub unclaimed_dropped: u64,
 }
 
@@ -479,7 +476,7 @@ fn thread_fingerprint() -> u64 {
 
 impl EventJournal {
     /// A journal with the default per-thread capacity
-    /// ([`DEFAULT_CAPACITY`] events; shrunk under `cfg(loom)`).
+    /// (`DEFAULT_CAPACITY` events; shrunk under `cfg(loom)`).
     pub fn new() -> Self {
         Self::with_capacity(DEFAULT_CAPACITY)
     }
@@ -575,7 +572,7 @@ impl EventJournal {
         self.names.get(idx)?.name.get().copied()
     }
 
-    /// Events discarded because more than [`RINGS`] threads recorded
+    /// Events discarded because more than `RINGS` threads recorded
     /// concurrently.
     pub fn unclaimed_dropped(&self) -> u64 {
         // ordering: relaxed — independent loss counter
